@@ -4,13 +4,13 @@ Subcommands: train, predict, cv, simulate, screen. Exit codes: 0 success,
 1 usage error, 2 data error, 3 solver failure. All randomness flows from
 --seed flags; repeated runs with identical flags produce byte-identical
 output files. The only environment variable honored is LPD_THREADS, an
-optional worker cap for the simulate command.
+optional worker cap for the simulate command: a positive integer, clamped
+to the CPU count; any other value is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -192,22 +192,7 @@ def _cmd_train(args):
 def _load_feature_rows(path, args):
     if args.has_labels:
         return dataio.load_dataset(path, _schema(args)).features
-    schema = _schema(args)
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle, delimiter=schema.delimiter), start=1):
-            if not row or (schema.has_header and lineno == 1):
-                continue
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise DataError(f"{path}: row {lineno}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataError(f"{path}: rows have differing lengths {sorted(widths)}")
-    return np.asarray(rows, dtype=float)
+    return dataio.load_features(path, _schema(args))
 
 
 def _cmd_predict(args):
@@ -235,13 +220,17 @@ def _cmd_cv(args):
 
 
 def _max_workers():
+    """Worker cap from LPD_THREADS: a positive integer, at most the CPU count."""
     raw = os.environ.get("LPD_THREADS")
     if raw is None:
         return 1
     try:
-        return max(1, int(raw))
+        value = int(raw)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise SystemExit_(USAGE_ERROR, f"lpd: LPD_THREADS must be a positive integer, got {raw!r}")
+    return min(value, os.cpu_count() or 1)
 
 
 def _cmd_simulate(args):

@@ -52,6 +52,65 @@ def _atomic_write(path, text):
         raise
 
 
+def _cell_error(path, lineno, row, label_column):
+    """The typed error for the first unreadable or non-finite cell of a row."""
+    for col, cell in enumerate(row):
+        if col == label_column:
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            return ParseError(f"{path}: row {lineno}, column {col}: not a number: {cell!r}")
+        if not math.isfinite(value):
+            return NonFiniteValue(f"{path}: row {lineno}, column {col}: non-finite value {cell!r}")
+    raise AssertionError(f"{path}: row {lineno} parsed by numpy but not by float()")
+
+
+def _read_rows(path, schema: DataFileSchema, label_column):
+    """Parse a delimited dataset file into a float64 feature matrix.
+
+    Blank lines are skipped; with ``schema.has_header`` line 1 is the
+    header. The first row, header included, fixes the width. When
+    ``label_column`` is not None that column is taken out of every row and
+    its stripped text returned in file order. Errors name the file line
+    and the original column. Rows go straight into one matrix sized by the
+    line count and shrunk in place, so no per-row buffers are left to free.
+    """
+    with open(path, "rb") as raw:  # line terminators + 1 bound the records
+        chunks = iter(lambda: raw.read(1 << 20), b"")
+        bound = 1 + sum(c.count(b"\n") + c.count(b"\r") for c in chunks)
+    out, n, width, labels = None, 0, None, []
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        for lineno, row in enumerate(csv.reader(handle, delimiter=schema.delimiter), start=1):
+            if not row:
+                continue
+            if width is None:
+                width = len(row)
+                if schema.has_header and lineno == 1:
+                    continue
+            elif len(row) != width:
+                raise RaggedRows(f"{path}: row {lineno} has {len(row)} fields, expected {width}")
+            cells = row
+            if label_column is not None:
+                if not 0 <= label_column < len(row):
+                    raise ParseError(f"{path}: row {lineno} has no label column {label_column}")
+                labels.append(row[label_column].strip())
+                cells = row[:label_column] + row[label_column + 1 :]
+            if out is None:
+                out = np.empty((bound, len(cells)))
+            try:
+                out[n] = cells
+            except ValueError:
+                raise _cell_error(path, lineno, row, label_column) from None
+            if not np.isfinite(out[n]).all():
+                raise _cell_error(path, lineno, row, label_column)
+            n += 1
+    if not n:
+        raise ParseError(f"{path}: no data rows")
+    out.resize((n, out.shape[1]), refcheck=False)
+    return out, labels
+
+
 def load_dataset(path, schema: DataFileSchema | None = None) -> LabeledDataset:
     """Read a delimited file into a dataset.
 
@@ -60,60 +119,24 @@ def load_dataset(path, schema: DataFileSchema | None = None) -> LabeledDataset:
     as ``label_names``. Rows of differing length and non-finite feature
     values are rejected with the offending row named.
     """
-    if schema is None:
-        schema = DataFileSchema()
-    rows = []
-    labels = []
+    schema = schema or DataFileSchema()
+    features, raw_labels = _read_rows(path, schema, schema.label_column)
     label_ids: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter=schema.delimiter)
-        width = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if schema.has_header and lineno == 1:
-                width = len(row)
-                continue
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise RaggedRows(
-                    f"{path}: row {lineno} has {len(row)} fields, expected {width}"
-                )
-            if not 0 <= schema.label_column < len(row):
-                raise ParseError(
-                    f"{path}: row {lineno} has no label column {schema.label_column}"
-                )
-            raw_label = row[schema.label_column].strip()
-            if raw_label not in label_ids:
-                label_ids[raw_label] = len(label_ids) + 1
-            labels.append(label_ids[raw_label])
-            values = []
-            for col, cell in enumerate(row):
-                if col == schema.label_column:
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError as exc:
-                    raise ParseError(
-                        f"{path}: row {lineno}, column {col}: not a number: {cell!r}"
-                    ) from exc
-                if not math.isfinite(value):
-                    raise NonFiniteValue(
-                        f"{path}: row {lineno}, column {col}: non-finite value {cell!r}"
-                    )
-                values.append(value)
-            rows.append(values)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    names = tuple(sorted(label_ids, key=label_ids.get))
-    return LabeledDataset(np.asarray(rows, dtype=float), np.asarray(labels), names)
+    labels = [label_ids.setdefault(raw, len(label_ids) + 1) for raw in raw_labels]
+    return LabeledDataset(features, np.asarray(labels), tuple(label_ids))
+
+
+def load_features(path, schema: DataFileSchema | None = None) -> np.ndarray:
+    """Read a features-only delimited file (no label column) as an (n, p)
+    float64 array, under the same rules and errors as :func:`load_dataset`;
+    ``schema.label_column`` is ignored."""
+    features, _ = _read_rows(path, schema or DataFileSchema(), None)
+    return features
 
 
 def save_dataset(path, dataset: LabeledDataset, schema: DataFileSchema | None = None):
     """Write a dataset in the same layout :func:`load_dataset` reads."""
-    if schema is None:
-        schema = DataFileSchema()
+    schema = schema or DataFileSchema()
     names = dataset.label_names
     out = io.StringIO()
     for row, label in zip(dataset.features, dataset.labels):

@@ -104,7 +104,7 @@ def pseudo_inverse(a, rank_tol=1e-10):
     """
     w, v = sym_eigen(a)
     cutoff = rank_tol * np.abs(w).max() if w.size else 0.0
-    inv = np.where(np.abs(w) > cutoff, np.divide(1.0, w, where=np.abs(w) > cutoff), 0.0)
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > cutoff)
     return (v * inv) @ v.T
 
 

@@ -36,7 +36,7 @@ from .classifier import (
     oracle_fisher,
     predict,
 )
-from .errors import DimensionMismatch, LpdError, SolverError, ZeroBeta
+from .errors import DimensionMismatch, LpdError, SolverFailure, ZeroBeta
 from .l1solver import ZERO_FLOOR, SolverConfig
 from .model_selection import CvPlan, cross_validate, default_lambda_grid
 from .stats import LabeledDataset, compute_moments
@@ -398,7 +398,9 @@ def run_benchmark(
 
     Replications run on independent deterministic RNG streams, so results
     do not depend on ``max_workers``. Failed replications are excluded
-    from the averages and counted, never silently dropped.
+    from the averages and counted, never silently dropped; ``failures``
+    lists them in replication order. When every replication fails,
+    :class:`SolverFailure` is raised.
     """
     methods = tuple(m.lower() for m in methods)
     unknown = sorted(set(methods) - set(METHOD_ORDER))
@@ -410,31 +412,20 @@ def run_benchmark(
         fixed_grid = cv_plan.lambda_grid
 
     streams = np.random.SeedSequence(spec.seed).spawn(spec.reps)
-    results: list = [None] * spec.reps
+    records: list = []
     failures: list = []
 
-    def run_one(rep):
-        return _run_replication(
-            spec, methods, streams[rep], rep, cv_folds, grid_size, fixed_grid, config
-        )
-
-    if max_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {pool.submit(run_one, rep): rep for rep in range(spec.reps)}
-            for fut in concurrent.futures.as_completed(futures):
-                rep = futures[fut]
-                try:
-                    results[rep] = fut.result()
-                except (SolverError, LpdError) as exc:
-                    failures.append(f"rep {rep}: {exc}")
-    else:
-        for rep in range(spec.reps):
-            try:
-                results[rep] = run_one(rep)
-            except (SolverError, LpdError) as exc:
-                failures.append(f"rep {rep}: {exc}")
-
-    records = [r for r in results if r is not None]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
+        futures = [
+            pool.submit(_run_replication, spec, methods, streams[rep], rep, cv_folds,
+                        grid_size, fixed_grid, config)
+            for rep in range(spec.reps)
+        ]
+    for rep, future in enumerate(futures):
+        try:
+            records.append(future.result())
+        except LpdError as exc:
+            failures.append(f"rep {rep}: {exc}")
     if not records:
         raise SolverFailure(f"all {spec.reps} replications failed: {failures[:3]}")
 

@@ -162,6 +162,10 @@ class TestBaselines:
         projected = v[:, keep] @ (v[:, keep].T @ beta)
         assert np.abs(projected - beta).max() < 1e-8
 
+    @pytest.mark.filterwarnings("error")
+    def test_glda_fit_emits_no_warning(self):
+        fit_glda(random_binary(np.random.default_rng(10), 4, 4, 12))
+
     def test_glda_zero_delta(self):
         x = np.random.default_rng(11).standard_normal((6, 4))
         data = LabeledDataset(np.vstack([x, x]), np.array([1] * 6 + [2] * 6))

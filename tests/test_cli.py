@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lpd import cli
 from lpd.cli import main
 from lpd.dataio import load_dataset, load_model
 
@@ -88,6 +89,50 @@ class TestTrainPredict:
         )
         assert code == 0
         assert len(preds.read_text().splitlines()) == 5
+
+
+class TestPredictFeaturesOnly:
+    """Features-only files get the checks and exit codes of training files."""
+
+    @pytest.fixture
+    def model_path(self, tmp_path):
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0))
+        path = tmp_path / "model.json"
+        assert main(["train", "--data", str(data), "--lambda", "0.5", "--out", str(path)]) == 0
+        return path
+
+    @staticmethod
+    def predict(tmp_path, model_path, text, *flags):
+        batch = tmp_path / "batch.csv"
+        batch.write_text(text)
+        return main(["predict", "--model", str(model_path), "--data", str(batch),
+                     "--out", str(tmp_path / "preds.csv"), *flags])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2,3\n4,nan,6\n", "row 2, column 1: non-finite value 'nan'"),
+            ("1,2,3\n\n4,5,-inf\n", "row 3, column 2: non-finite value '-inf'"),
+            ("1,2,3\n4,5,oops\n", "row 2, column 2: not a number: 'oops'"),
+            ("1,2,3\n4,5\n", "row 2 has 2 fields, expected 3"),
+        ],
+    )
+    def test_bad_cell_or_row_is_data_error_naming_it(self, tmp_path, model_path, capsys, text, message):
+        capsys.readouterr()
+        assert self.predict(tmp_path, model_path, text) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "preds.csv").exists()
+
+    def test_header_is_line_one_and_fixes_width(self, tmp_path, model_path, capsys):
+        rows = "1,2,3\n4,5,6\n"
+        assert self.predict(tmp_path, model_path, rows) == 0
+        expected = (tmp_path / "preds.csv").read_bytes()
+        assert self.predict(tmp_path, model_path, "f1,f2,f3\n" + rows, "--has-header") == 0
+        assert (tmp_path / "preds.csv").read_bytes() == expected
+        capsys.readouterr()
+        assert self.predict(tmp_path, model_path, "f1,f2\n" + rows, "--has-header") == 2
+        assert "row 2 has 3 fields, expected 2" in capsys.readouterr().err
 
 
 class TestCv:
@@ -230,6 +275,21 @@ class TestExitCodes:
              "--out", str(tmp_path / "m.json")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_thread_cap_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("LPD_THREADS", value)
+        out = tmp_path / "r.csv"
+        argv = ["simulate", "--model-id", "1", "--p", "10", "--reps", "1",
+                "--methods", "oracle", "--out", str(out)]
+        assert main(argv) == 1
+        assert "LPD_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_thread_cap_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("LPD_THREADS", "64")
+        assert cli._max_workers() == 2
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

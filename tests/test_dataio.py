@@ -7,6 +7,7 @@ from lpd.dataio import (
     DataFileSchema,
     fmt_float,
     load_dataset,
+    load_features,
     load_model,
     save_cv_table,
     save_dataset,
@@ -84,6 +85,58 @@ class TestLoadDataset:
         assert loaded.features.tobytes() == data.features.tobytes()
         assert loaded.labels.tolist() == data.labels.tolist()
         assert loaded.label_names == ("pos", "neg")
+
+
+class TestLoadFeatures:
+    def test_matches_load_dataset_and_float_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-8, 8, (40, 6))
+        cells = [[repr(float(v)) if j % 2 else "%.17g" % v for j, v in enumerate(row)]
+                 for row in values]
+        plain = tmp_path / "plain.csv"
+        plain.write_text("".join(",".join(row) + "\n" for row in cells))
+        labeled = tmp_path / "labeled.csv"
+        labeled.write_text(
+            "".join(",".join(row[:2] + ["AB"[i % 2]] + row[2:]) + "\n" for i, row in enumerate(cells))
+        )
+        features = load_features(plain)
+        reference = np.asarray([[float(c) for c in row] for row in cells])
+        assert features.dtype == np.float64
+        assert features.tobytes() == reference.tobytes() == values.tobytes()
+        assert load_dataset(labeled, DataFileSchema(label_column=2)).features.tobytes() == features.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("1.0,2.0\n3.0\n", RaggedRows, "row 2 has 1 fields, expected 2"),
+            ("1.0,2.0\n3.0,x\n", ParseError, "row 2, column 1: not a number"),
+            ("1.0,2.0\n\n3.0,inf\n", NonFiniteValue, "row 3, column 1: non-finite"),
+            ("\n", ParseError, "no data rows"),
+        ],
+    )
+    def test_same_errors_as_load_dataset(self, tmp_path, text, error, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=message):
+            load_features(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("blank_lines", [0, 3])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_line_endings_and_blank_lines(self, tmp_path, newline, blank_lines, final_newline):
+        rows = ["h1,h2", "1.5,2.5", *[""] * blank_lines, "-3,4e-2", "5,6"]
+        text = newline.join(rows) + (newline if final_newline else "")
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        features = load_features(path, DataFileSchema(has_header=True))
+        assert features.tolist() == [[1.5, 2.5], [-3.0, 0.04], [5.0, 6.0]]
+        assert features.flags.owndata and features.flags.c_contiguous
+
+    def test_label_column_ignored(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("h1,h2\n1.5,2.5\n")
+        features = load_features(path, DataFileSchema(label_column=1, has_header=True))
+        assert features.tolist() == [[1.5, 2.5]]
 
 
 class TestModelPersistence:

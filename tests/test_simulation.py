@@ -332,3 +332,20 @@ class TestRunBenchmark:
         assert report.reps_completed == 2
         assert report.reps_failed == 1
         assert any("injected" in f for f in report.failures)
+
+    def test_all_reps_failing_is_solver_failure(self, monkeypatch, tmp_path):
+        import lpd.simulation as sim
+        from lpd.cli import main
+        from lpd.errors import SolverFailure
+
+        def always_fail(spec_, methods, seed_seq, rep, *rest):
+            raise SolverFailure(f"injected {rep}")
+
+        monkeypatch.setattr(sim, "_run_replication", always_fail)
+        spec = SimulationSpec(model_id=1, p=10, n1=20, n2=20, s0=3, reps=3, seed=6)
+        with pytest.raises(SolverFailure, match="all 3 replications failed"):
+            sim.run_benchmark(spec, methods=("naive_bayes",), max_workers=2)
+        argv = ["simulate", "--model-id", "1", "--p", "10", "--reps", "3",
+                "--methods", "naive_bayes", "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 3
+        assert not (tmp_path / "r.csv").exists()
