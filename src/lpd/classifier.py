@@ -23,7 +23,7 @@ from .errors import (
     ZeroVariance,
 )
 from .l1solver import OPTIMAL, LpProblem, SolverConfig, solve
-from .stats import LabeledDataset, TwoSampleMoments, class_means, compute_moments, pooled_covariance
+from .stats import LabeledDataset, TwoSampleMoments, compute_moments, pooled_moments
 
 
 @dataclass
@@ -131,7 +131,9 @@ def fit_lpd_from_moments(
     """
     if ridge_rho is None:
         ridge_rho = auto_ridge(moments.p, moments.n1 + moments.n2)
-    problem = LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=lam, ridge_rho=ridge_rho)
+    problem = LpProblem(
+        A=moments.sigma_hat, b=moments.delta_hat, lam=lam, ridge_rho=ridge_rho, factor=moments.factor
+    )
     sol = solve(problem, config)
     if sol.status != OPTIMAL:
         raise SolverFailure(
@@ -249,13 +251,14 @@ def fit_multiclass(
     class_ids = [int(k) for k in data.classes]
     if len(class_ids) < 2:
         raise ClassMissing("multi-class fit needs at least two classes")
-    means = class_means(data)
-    sigma = pooled_covariance(data)
+    means, sigma, factor = pooled_moments(data)
     if ridge_rho is None:
         ridge_rho = auto_ridge(data.p, data.n)
     pairwise = {}
     for k, l in combinations(class_ids, 2):
-        problem = LpProblem(A=sigma, b=means[k] - means[l], lam=lam, ridge_rho=ridge_rho)
+        problem = LpProblem(
+            A=sigma, b=means[k] - means[l], lam=lam, ridge_rho=ridge_rho, factor=factor
+        )
         sol = solve(problem, config)
         if sol.status != OPTIMAL:
             raise SolverFailure(

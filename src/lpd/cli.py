@@ -11,13 +11,16 @@ to the CPU count; any other value is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
 import numpy as np
 
 from . import dataio
-from .classifier import auto_ridge, decision_scores, fit_lpd_from_moments, predict
+# `predict` is no longer called here; it stays importable as lpd.cli.predict,
+# the name perfbench/spans.py traces.
+from .classifier import auto_ridge, decision_scores, fit_lpd_from_moments, predict  # noqa: F401
 from .errors import DataError, LpdError, SolverError
 from .l1solver import SolverConfig
 from .model_selection import CvPlan, cross_validate, default_lambda_grid
@@ -40,6 +43,15 @@ class SystemExit_(Exception):
         super().__init__(message or "")
         self.code = code
         self.message = message
+
+
+@contextlib.contextmanager
+def _flag_values(command):
+    """Report a ValueError raised while checking flag values as a one-line usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SystemExit_(USAGE_ERROR, f"lpd {command}: error: {exc}") from None
 
 
 def _schema_args(parser):
@@ -154,8 +166,9 @@ def _cmd_train(args):
         "rho_source": "auto" if args.rho == "auto" else "fixed",
     }
     if args.lam == "auto":
-        grid = default_lambda_grid(moments, args.grid_size)
-        plan = CvPlan(folds=args.folds, lambda_grid=grid, seed=args.seed)
+        with _flag_values("train"):
+            grid = default_lambda_grid(moments, args.grid_size)
+            plan = CvPlan(folds=args.folds, lambda_grid=grid, seed=args.seed)
         result = cross_validate(data, plan)
         lam = result.chosen_lambda
         provenance.update(
@@ -199,7 +212,7 @@ def _cmd_predict(args):
     model = dataio.load_model(args.model)
     features = _load_feature_rows(args.data, args)
     scores = decision_scores(model, features)
-    classes = predict(model, features)
+    classes = np.where(scores >= model.threshold, 1, 2)
     dataio.save_predictions(args.out, classes, scores)
     print(f"wrote {args.out} ({len(np.atleast_1d(classes))} predictions)")
     return 0
@@ -208,8 +221,9 @@ def _cmd_predict(args):
 def _cmd_cv(args):
     data = dataio.load_dataset(args.data, _schema(args))
     moments = compute_moments(data)
-    grid = default_lambda_grid(moments, args.grid_size)
-    plan = CvPlan(folds=args.folds, lambda_grid=grid, seed=args.seed)
+    with _flag_values("cv"):
+        grid = default_lambda_grid(moments, args.grid_size)
+        plan = CvPlan(folds=args.folds, lambda_grid=grid, seed=args.seed)
     result = cross_validate(data, plan)
     text = dataio.save_cv_table(args.out, result)
     if args.out is None:
@@ -234,17 +248,18 @@ def _max_workers():
 
 
 def _cmd_simulate(args):
-    spec = SimulationSpec(
-        model_id=args.model_id,
-        p=args.p,
-        n1=args.n1,
-        n2=args.n2,
-        s0=args.s0,
-        rho=args.rho,
-        distribution=args.dist,
-        reps=args.reps,
-        seed=args.seed,
-    )
+    with _flag_values("simulate"):
+        spec = SimulationSpec(
+            model_id=args.model_id,
+            p=args.p,
+            n1=args.n1,
+            n2=args.n2,
+            s0=args.s0,
+            rho=args.rho,
+            distribution=args.dist,
+            reps=args.reps,
+            seed=args.seed,
+        )
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     report = run_benchmark(
         spec,

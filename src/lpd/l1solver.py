@@ -17,6 +17,13 @@ predictor-corrector. The KKT Newton systems are reduced to a single p x p
 SPD solve per iteration by eliminating the (u, slack, dual) blocks, so the
 4p x 2p constraint matrix is never materialized in the hot path.
 
+That p x p system is A_rho W A_rho + D with W and D diagonal. When the
+problem carries a thin factor U of A (A = U U', k columns, 2k < p), the
+system is diagonal plus rank 2k and is solved by Sherman-Morrison-Woodbury
+at O(p k^2) per iteration instead of O(p^3). Every such solve is checked
+against the dense operator; an iteration whose check fails falls back to
+the dense assembly and Cholesky.
+
 The solver is deterministic: no randomization anywhere.
 """
 
@@ -25,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .errors import (
@@ -41,6 +49,11 @@ NUMERICAL_FAILURE = "numerical_failure"
 # The step is capped at this fraction of the distance to the boundary.
 _STEP_FRACTION = 0.99
 _CHOL_JITTERS = (0.0, 1e-14, 1e-10, 1e-6)
+# A Woodbury solve of H x = r passes when ||r - H x||_inf <= _WOODBURY_RTOL *
+# (1 + ||r||_inf), with H applied densely, after at most _REFINE_STEPS steps
+# of iterative refinement.
+_WOODBURY_RTOL = 1e-10
+_REFINE_STEPS = 3
 
 # Coefficients at or below this magnitude are interior-point noise around an
 # exact zero; the dual normalization keeps the scale absolute.
@@ -49,12 +62,18 @@ ZERO_FLOOR = 1e-7
 
 @dataclass
 class LpProblem:
-    """One constrained l1 program: symmetric A, target b, radius lam."""
+    """One constrained l1 program: symmetric A, target b, radius lam.
+
+    ``factor`` is an optional p x k matrix U with A = U U' (for a sample
+    covariance, the centred data over sqrt(n)). It only speeds up the
+    Newton solves; residuals and the certificate always use A.
+    """
 
     A: np.ndarray
     b: np.ndarray
     lam: float
     ridge_rho: float = 0.0
+    factor: np.ndarray | None = None
 
     def __post_init__(self):
         self.A = linalg.check_symmetric(self.A, "A")
@@ -69,6 +88,12 @@ class LpProblem:
             raise ValueError("lam must be >= 0")
         if self.ridge_rho < 0:
             raise ValueError("ridge_rho must be >= 0")
+        if self.factor is not None:
+            self.factor = linalg.as_matrix(self.factor, "factor")
+            if self.factor.shape[0] != self.b.size:
+                raise DimensionMismatch(
+                    f"factor is {self.factor.shape} but b has length {self.b.size}"
+                )
 
     @property
     def p(self) -> int:
@@ -92,7 +117,12 @@ class SolverConfig:
 
 @dataclass
 class LpSolution:
-    """Solver output; ``duality_gap`` is the relative complementarity gap."""
+    """Solver output; ``duality_gap`` is the relative complementarity gap.
+
+    ``low_rank`` tells whether the Newton systems went through the Woodbury
+    step; ``fallbacks`` counts the iterations that then needed the dense
+    factor after all.
+    """
 
     beta: np.ndarray
     objective: float
@@ -100,6 +130,8 @@ class LpSolution:
     iterations: int
     duality_gap: float
     status: str
+    low_rank: bool = False
+    fallbacks: int = 0
 
 
 @dataclass
@@ -194,7 +226,7 @@ def _initial_beta(sf: StandardFormLp, rho: float, lam: float):
     return beta0
 
 
-def _solution(sf, beta, iterations, gap, status):
+def _solution(sf, beta, iterations, gap, status, low_rank=False, fallbacks=0):
     resid = float(np.abs(sf.a_rho @ beta - sf.b).max())
     return LpSolution(
         beta=beta.copy(),
@@ -203,7 +235,105 @@ def _solution(sf, beta, iterations, gap, status):
         iterations=iterations,
         duality_gap=gap,
         status=status,
+        low_rank=low_rank,
+        fallbacks=fallbacks,
     )
+
+
+def _low_rank(p: int, k: int) -> bool:
+    """Whether a k-column factor makes the Woodbury step cheaper than the dense one."""
+    return 2 * k < p
+
+
+def _dense_newton_factor(a_rho, w, dd):
+    """Cholesky factor of A_rho diag(w) A_rho + diag(dd), escalating the jitter
+    along _CHOL_JITTERS; raises NotPositiveDefinite when every level fails."""
+    h_mat = a_rho @ (w[:, None] * a_rho)
+    h_mat[np.diag_indices_from(h_mat)] += dd
+    diag_scale = float(np.abs(np.diag(h_mat)).max())
+    for jitter in _CHOL_JITTERS:
+        try:
+            trial = h_mat if jitter == 0.0 else h_mat + jitter * diag_scale * np.eye(a_rho.shape[0])
+            return linalg.spd_factor(trial)
+        except NotPositiveDefinite:
+            continue
+    raise NotPositiveDefinite("Newton matrix rejected at every jitter level")
+
+
+class _NewtonSystem:
+    """H = A_rho diag(w) A_rho + diag(dd), the reduced Newton matrix of one iteration.
+
+    Without a factor, H is assembled densely and Cholesky-factored. With a
+    factor U (A_rho = U U' + rho I), H = G + V C V' where G = rho^2 diag(w) +
+    diag(dd), V = [U, W U] and C = [[U' W U, rho I], [rho I, 0]], and
+    H^{-1} r = G^{-1} r - G^{-1} V K^{-1} C V' G^{-1} r through the LU of the
+    2k x 2k capacitance matrix K = I + C V' G^{-1} V. Each such solve is
+    checked against the dense H and refined; if it still fails, the dense
+    factor is built and used for the rest of the iteration.
+    """
+
+    def __init__(self, a_rho, w, dd, factor=None, rho=0.0):
+        self.a_rho, self.w, self.dd = a_rho, w, dd
+        self.low_rank = factor is not None
+        self.dense = None
+        self.lu = None
+        if factor is None:
+            self.dense = _dense_newton_factor(a_rho, w, dd)
+            return
+        self.k, self.rho = factor.shape[1], rho
+        self.g = rho * rho * w + dd
+        if not np.all(self.g > 0):
+            return
+        self.v = np.hstack([factor, w[:, None] * factor])
+        self.m = factor.T @ self.v[:, self.k :]
+        scaled = self.v / np.sqrt(self.g)[:, None]
+        capacitance = self._apply_c(scaled.T @ scaled)
+        capacitance[np.diag_indices_from(capacitance)] += 1.0
+        if np.all(np.isfinite(capacitance)):
+            lu, piv, info = scipy.linalg.lapack.dgetrf(capacitance)
+            if info == 0:
+                self.lu = (lu, piv)
+
+    @property
+    def fell_back(self) -> bool:
+        """True once a Woodbury solve failed its check and the dense factor took over."""
+        return self.low_rank and self.dense is not None
+
+    def apply(self, x):
+        """H x with the dense A_rho."""
+        return self.a_rho @ (self.w * (self.a_rho @ x)) + self.dd * x
+
+    def _apply_c(self, x):
+        """C x by blocks: C = [[M, rho I], [rho I, 0]] with M = U' W U."""
+        top, bottom = x[: self.k], x[self.k :]
+        return np.concatenate([self.m @ top + self.rho * bottom, self.rho * top])
+
+    def _woodbury(self, r):
+        y = r / self.g
+        t, _ = scipy.linalg.lapack.dgetrs(*self.lu, self._apply_c(self.v.T @ y))
+        return y - (self.v @ t) / self.g
+
+    def _checked_woodbury(self, r):
+        """Woodbury solution that passes the residual check, or None."""
+        if self.lu is None:
+            return None
+        tol = _WOODBURY_RTOL * (1.0 + float(np.abs(r).max()))
+        x = self._woodbury(r)
+        for step in range(_REFINE_STEPS + 1):
+            resid = r - self.apply(x)
+            if float(np.abs(resid).max()) <= tol:
+                return x
+            if step < _REFINE_STEPS:
+                x = x + self._woodbury(resid)
+        return None
+
+    def solve(self, r):
+        if self.dense is None:
+            x = self._checked_woodbury(r)
+            if x is not None:
+                return x
+            self.dense = _dense_newton_factor(self.a_rho, self.w, self.dd)
+        return linalg.spd_solve(self.dense, r)
 
 
 def solve(problem: LpProblem, config: SolverConfig | None = None) -> LpSolution:
@@ -221,6 +351,10 @@ def solve(problem: LpProblem, config: SolverConfig | None = None) -> LpSolution:
     sf = build_lp(problem)
     p = sf.p
     lam = sf.lam
+    rho = problem.ridge_rho
+    factor = problem.factor
+    if factor is not None and not _low_rank(p, factor.shape[1]):
+        factor = None
 
     if lam == 0.0:
         # Feasible set is the single point A_rho^{-1} b; no interior to walk.
@@ -232,7 +366,7 @@ def solve(problem: LpProblem, config: SolverConfig | None = None) -> LpSolution:
             ) from exc
         return _solution(sf, beta, 0, 0.0, OPTIMAL)
 
-    beta = _initial_beta(sf, problem.ridge_rho, lam)
+    beta = _initial_beta(sf, rho, lam)
     u = np.abs(beta) + 1.0
     h = sf.rhs()
     m = sf.n_constraints
@@ -244,6 +378,7 @@ def solve(problem: LpProblem, config: SolverConfig | None = None) -> LpSolution:
     gap_rel = np.inf
     status = ITERATION_LIMIT
     iterations = 0
+    fallbacks = 0
 
     for _ in range(config.max_iter):
         g = sf.apply_g(beta, u)
@@ -271,41 +406,33 @@ def solve(problem: LpProblem, config: SolverConfig | None = None) -> LpSolution:
         e = d1 + d2
         f = d1 - d2
         w = d3 + d4
-        h_mat = sf.a_rho @ (w[:, None] * sf.a_rho)
-        h_mat[np.diag_indices_from(h_mat)] += 4.0 * d1 * d2 / e
-
-        factor = None
-        diag_scale = float(np.abs(np.diag(h_mat)).max())
-        for jitter in _CHOL_JITTERS:
-            try:
-                trial = h_mat if jitter == 0.0 else h_mat + jitter * diag_scale * np.eye(p)
-                factor = linalg.spd_factor(trial)
-                break
-            except NotPositiveDefinite:
-                continue
-        if factor is None:
-            status = NUMERICAL_FAILURE
-            break
 
         def newton_step(rcomp):
             t = d * rp - rcomp / s
             gt_t_beta, gt_t_u = sf.apply_gt(t)
             r1 = -rd_beta - gt_t_beta
             r2 = -rd_u - gt_t_u
-            dbeta = linalg.spd_solve(factor, r1 - (f / e) * r2)
+            dbeta = newton.solve(r1 - (f / e) * r2)
             du = (r2 - f * dbeta) / e
             ds = -rp - sf.apply_g(dbeta, du)
             dz = -(rcomp + z * ds) / s
             return dbeta, du, ds, dz
 
-        mu = comp / m
-        dbeta_a, du_a, ds_a, dz_a = newton_step(s * z)
-        alpha_p_a = _boundary_step(s, ds_a)
-        alpha_d_a = _boundary_step(z, dz_a)
-        mu_aff = float((s + alpha_p_a * ds_a) @ (z + alpha_d_a * dz_a)) / m
-        sigma = min(1.0, max(0.0, (mu_aff / max(mu, 1e-300)) ** 3))
+        try:
+            newton = _NewtonSystem(sf.a_rho, w, 4.0 * d1 * d2 / e, factor, rho)
+            mu = comp / m
+            dbeta_a, du_a, ds_a, dz_a = newton_step(s * z)
+            alpha_p_a = _boundary_step(s, ds_a)
+            alpha_d_a = _boundary_step(z, dz_a)
+            mu_aff = float((s + alpha_p_a * ds_a) @ (z + alpha_d_a * dz_a)) / m
+            sigma = min(1.0, max(0.0, (mu_aff / max(mu, 1e-300)) ** 3))
 
-        dbeta, du, ds, dz = newton_step(s * z + ds_a * dz_a - sigma * mu)
+            dbeta, du, ds, dz = newton_step(s * z + ds_a * dz_a - sigma * mu)
+        except NotPositiveDefinite:  # the dense factor, built first or as a fallback
+            status = NUMERICAL_FAILURE
+            fallbacks += factor is not None
+            break
+        fallbacks += newton.fell_back
         alpha_p = min(1.0, _STEP_FRACTION * _boundary_step(s, ds))
         alpha_d = min(1.0, _STEP_FRACTION * _boundary_step(z, dz))
         if alpha_p < 1e-10 and alpha_d < 1e-10:
@@ -318,7 +445,7 @@ def solve(problem: LpProblem, config: SolverConfig | None = None) -> LpSolution:
         z = z + alpha_d * dz
         iterations += 1
 
-    return _solution(sf, beta, iterations, float(gap_rel), status)
+    return _solution(sf, beta, iterations, float(gap_rel), status, factor is not None, fallbacks)
 
 
 def support(solution: LpSolution, config: SolverConfig | None = None) -> np.ndarray:

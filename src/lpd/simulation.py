@@ -36,7 +36,7 @@ from .classifier import (
     oracle_fisher,
     predict,
 )
-from .errors import DimensionMismatch, LpdError, SolverFailure, ZeroBeta
+from .errors import DimensionMismatch, LpdError, SolverError, SolverFailure, ZeroBeta
 from .l1solver import ZERO_FLOOR, SolverConfig
 from .model_selection import CvPlan, cross_validate, default_lambda_grid
 from .stats import LabeledDataset, compute_moments
@@ -256,7 +256,11 @@ def support_metrics(beta_hat, beta_star, support_eps=1e-3) -> SupportMetrics:
 
 @dataclass
 class RepRecord:
-    """Everything measured in one completed replication."""
+    """Everything measured in one completed replication.
+
+    ``refit_failures`` maps each grid lambda whose full-train refit failed
+    to the solver's message; such a lambda is left out of ``lambda_opt``.
+    """
 
     rep: int
     errors: dict
@@ -265,6 +269,7 @@ class RepRecord:
     lambda_opt: float = float("nan")
     support: SupportMetrics | None = None
     conditional_rate: float = float("nan")
+    refit_failures: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -352,7 +357,14 @@ def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size, fixed_gr
         test_errors = {}
         chosen_model = None
         for lam in plan.lambda_grid:
-            model = fit_lpd_from_moments(moments, float(lam), config, rho)
+            try:
+                model = fit_lpd_from_moments(moments, float(lam), config, rho)
+            except SolverError as exc:
+                # as in cross_validate, a failed lambda is skipped; only the chosen one is needed
+                if float(lam) == cv.chosen_lambda:
+                    raise
+                record.refit_failures[float(lam)] = str(exc)
+                continue
             test_errors[float(lam)] = _error_percent(model, test)
             if float(lam) == cv.chosen_lambda:
                 chosen_model = model
@@ -392,9 +404,11 @@ def run_benchmark(
     Per replication: draw independent train and test sets of identical
     sizes, tune lambda by CV on the train set, fit every requested method,
     and score on the test set. ``lambda_opt`` records the grid value
-    minimizing the test error. When ``cv_plan`` is given, its folds and
-    grid are used verbatim for every replication; otherwise the grid is
-    re-anchored at each replication's train moments.
+    minimizing the test error among the lambdas whose refit succeeded; a
+    replication fails only when the refit at the CV-chosen lambda fails.
+    When ``cv_plan`` is given, its folds and grid are used verbatim for
+    every replication; otherwise the grid is re-anchored at each
+    replication's train moments.
 
     Replications run on independent deterministic RNG streams, so results
     do not depend on ``max_workers``. Failed replications are excluded

@@ -7,6 +7,7 @@ Sigma = (n1 Sigma_X + n2 Sigma_Y) / (n1 + n2).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -74,7 +75,10 @@ class LabeledDataset:
 
 @dataclass
 class TwoSampleMoments:
-    """First and second sample moments of a binary dataset."""
+    """First and second sample moments of a binary dataset.
+
+    ``factor`` is the p x n centred-data factor U with sigma_hat = U U'.
+    """
 
     mean1: np.ndarray
     mean2: np.ndarray
@@ -83,6 +87,7 @@ class TwoSampleMoments:
     sigma_hat: np.ndarray
     n1: int
     n2: int
+    factor: np.ndarray
 
     @property
     def p(self) -> int:
@@ -109,19 +114,25 @@ def class_means(data):
     return means
 
 
-def pooled_covariance(data):
-    """Pooled divisor-n covariance over all classes.
+def pooled_moments(data):
+    """Class means, pooled divisor-n covariance, and its centred-data factor.
 
     Sigma = (1/n) * sum_k sum_{i in class k} (x_i - mean_k)(x_i - mean_k)'.
+    The factor U = Xc' / sqrt(n) stacks the within-class centred rows as
+    columns (p x n), so Sigma = U U' up to rounding.
     """
     means = class_means(data)
     p = data.p
     acc = np.zeros((p, p))
+    blocks = []
     for k, mean in means.items():
         centered = data.features[data.class_rows(k)] - mean
         acc += centered.T @ centered
+        blocks.append(centered)
     sigma = acc / data.n
-    return 0.5 * (sigma + sigma.T)
+    centred = np.vstack(blocks)
+    centred /= math.sqrt(data.n)
+    return means, 0.5 * (sigma + sigma.T), centred.T
 
 
 def pooled_variances(data):
@@ -135,10 +146,9 @@ def pooled_variances(data):
 
 
 def compute_moments(data) -> TwoSampleMoments:
-    """Means, mean difference, midpoint, and pooled covariance for classes {1, 2}."""
+    """Means, mean difference, midpoint, pooled covariance and its factor for classes {1, 2}."""
     _require_binary(data)
-    means = class_means(data)
-    sigma = pooled_covariance(data)
+    means, sigma, factor = pooled_moments(data)
     mean1, mean2 = means[1], means[2]
     return TwoSampleMoments(
         mean1=mean1,
@@ -148,6 +158,7 @@ def compute_moments(data) -> TwoSampleMoments:
         sigma_hat=sigma,
         n1=int(data.class_rows(1).size),
         n2=int(data.class_rows(2).size),
+        factor=factor,
     )
 
 

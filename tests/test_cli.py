@@ -135,6 +135,36 @@ class TestPredictFeaturesOnly:
         assert "row 2 has 3 fields, expected 2" in capsys.readouterr().err
 
 
+    def test_each_row_scored_once(self, tmp_path, model_path, monkeypatch):
+        import lpd.classifier as classifier
+        from lpd.dataio import save_predictions
+
+        batch = tmp_path / "batch.csv"
+        rng = np.random.default_rng(1)
+        batch.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                                 for row in rng.standard_normal((50, 3)) * 6))
+        model = load_model(model_path)
+        features = np.loadtxt(batch, delimiter=",")
+        expected = tmp_path / "expected.csv"
+        save_predictions(expected, classifier.predict(model, features),
+                         classifier.decision_scores(model, features))
+
+        calls = []
+        real = classifier.decision_scores
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(classifier, "decision_scores", counted)
+        monkeypatch.setattr(cli, "decision_scores", counted)
+        preds = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(model_path), "--data", str(batch),
+                     "--out", str(preds)]) == 0
+        assert len(calls) == 1
+        assert preds.read_bytes() == expected.read_bytes()
+
+
 class TestCv:
     def test_stdout_table(self, tmp_path, capsys):
         data = tmp_path / "sep.csv"
@@ -284,6 +314,30 @@ class TestExitCodes:
                 "--methods", "oracle", "--out", str(out)]
         assert main(argv) == 1
         assert "LPD_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_s0_above_p_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        argv = ["simulate", "--model-id", "1", "--p", "5", "--s0", "10", "--reps", "1",
+                "--methods", "oracle", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "lpd simulate: error: need 1 <= s0 <= p\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--folds", "1", "folds must be >= 2"),
+        ("--grid-size", "1", "size must be >= 2"),
+    ])
+    def test_cv_flag_values_are_usage_errors(self, tmp_path, capsys, command, flag, value,
+                                             message):
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0))
+        out = tmp_path / "out"
+        argv = [command, "--data", str(data), flag, value, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"lpd {command}: error: {message}\n"
         assert not out.exists()
 
     def test_thread_cap_clamped_to_cpu_count(self, monkeypatch):

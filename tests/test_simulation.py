@@ -349,3 +349,53 @@ class TestRunBenchmark:
                 "--methods", "naive_bayes", "--out", str(tmp_path / "r.csv")]
         assert main(argv) == 3
         assert not (tmp_path / "r.csv").exists()
+
+
+class TestRefitFailures:
+    """A failed full-train refit at one grid lambda skips that lambda, as in CV."""
+
+    SPEC = SimulationSpec(model_id=3, p=20, n1=30, n2=30, s0=4, reps=1, seed=77)
+
+    @staticmethod
+    def patch(monkeypatch, pick_failing):
+        import lpd.simulation as sim
+        from lpd.errors import SolverFailure
+
+        chosen = []
+        real_cv, real_fit = sim.cross_validate, sim.fit_lpd_from_moments
+
+        def cv(*args, **kwargs):
+            result = real_cv(*args, **kwargs)
+            chosen.append(result.chosen_lambda)
+            return result
+
+        def fit(moments, lam, *rest):
+            if lam == pick_failing(chosen[-1]):
+                raise SolverFailure(f"injected at lambda={lam!r}")
+            return real_fit(moments, lam, *rest)
+
+        monkeypatch.setattr(sim, "cross_validate", cv)
+        monkeypatch.setattr(sim, "fit_lpd_from_moments", fit)
+        return chosen
+
+    def test_failed_lambda_skipped_for_lambda_opt(self, monkeypatch):
+        baseline = run_benchmark(self.SPEC, methods=("lpd",), grid_size=5, cv_folds=3)
+        record = baseline.records[0]
+        failing = record.lambda_opt
+        assert failing != record.lambda_hat  # the seed keeps the two apart
+        self.patch(monkeypatch, lambda chosen: failing)
+        report = run_benchmark(self.SPEC, methods=("lpd",), grid_size=5, cv_folds=3)
+        assert report.reps_completed == 1 and report.reps_failed == 0
+        patched = report.records[0]
+        assert list(patched.refit_failures) == [failing]
+        assert "injected" in patched.refit_failures[failing]
+        assert patched.lambda_opt != failing
+        assert patched.lambda_hat == record.lambda_hat
+        assert patched.errors == record.errors
+
+    def test_failed_chosen_lambda_fails_the_replication(self, monkeypatch):
+        from lpd.errors import SolverFailure
+
+        self.patch(monkeypatch, lambda chosen: chosen)
+        with pytest.raises(SolverFailure, match="injected"):
+            run_benchmark(self.SPEC, methods=("lpd",), grid_size=5, cv_folds=3)

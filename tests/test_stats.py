@@ -72,6 +72,23 @@ class TestComputeMoments:
         m = compute_moments(data)
         assert np.abs(m.sigma_hat - loop_pooled_covariance(data.features, data.labels)).max() < 1e-12
 
+    def test_factor_reproduces_sigma(self):
+        """The centred-data factor U (p x n) satisfies U U' = sigma_hat."""
+        data = random_dataset(np.random.default_rng(4), 9, 6, 20)
+        m = compute_moments(data)
+        assert m.factor.shape == (20, 15)
+        assert np.abs(m.factor @ m.factor.T - m.sigma_hat).max() < 1e-12
+        assert np.abs(m.sigma_hat - loop_pooled_covariance(data.features, data.labels)).max() < 1e-12
+
+    def test_class_means_computed_once(self, monkeypatch):
+        import lpd.stats as stats
+
+        calls = []
+        real = stats.class_means
+        monkeypatch.setattr(stats, "class_means", lambda data: calls.append(1) or real(data))
+        compute_moments(random_dataset(np.random.default_rng(5), 6, 6, 3))
+        assert len(calls) == 1
+
     def test_label_swap_negates_delta_keeps_sigma(self):
         data = random_dataset(np.random.default_rng(3), 10, 7, 4)
         swapped = LabeledDataset(data.features, 3 - data.labels)
