@@ -24,7 +24,7 @@ from .classifier import auto_ridge, decision_scores, fit_lpd_from_moments, predi
 from .errors import DataError, LpdError, SolverError
 from .l1solver import SolverConfig
 from .model_selection import CvPlan, cross_validate, default_lambda_grid
-from .simulation import METHOD_ORDER, SimulationSpec, run_benchmark
+from .simulation import METHOD_ORDER, SimulationSpec, check_run_options, run_benchmark
 from .stats import compute_moments, t_statistic_screen, variance_filter
 
 USAGE_ERROR, DATA_ERROR, SOLVER_ERROR = 1, 2, 3
@@ -260,7 +260,9 @@ def _cmd_simulate(args):
             reps=args.reps,
             seed=args.seed,
         )
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+        methods = check_run_options(
+            [m.strip() for m in args.methods.split(",") if m.strip()], args.folds, args.grid_size
+        )
     report = run_benchmark(
         spec,
         methods=methods,

@@ -166,16 +166,18 @@ class StandardFormLp:
         lam = np.full(self.p, self.lam)
         return np.concatenate([np.zeros(self.p), np.zeros(self.p), lam - self.b, lam + self.b])
 
-    def apply_g(self, beta, u) -> np.ndarray:
-        """G @ (beta, u) without materializing G."""
-        ab = self.a_rho @ beta
+    def apply_g(self, beta, u, ab=None) -> np.ndarray:
+        """G @ (beta, u) without materializing G; ``ab`` is A_rho @ beta if
+        the caller already has it."""
+        if ab is None:
+            ab = self.a_rho @ beta
         return np.concatenate([-beta - u, beta - u, -ab, ab])
 
     def apply_gt(self, z) -> tuple[np.ndarray, np.ndarray]:
         """G' @ z, returned as its (beta, u) blocks."""
-        p = self.p
-        z1, z2, z3, z4 = z[:p], z[p : 2 * p], z[2 * p : 3 * p], z[3 * p :]
-        return -z1 + z2 + self.a_rho @ (z4 - z3), -(z1 + z2)
+        blocks = z.reshape(4, self.p)
+        z1, z2 = blocks[0], blocks[1]
+        return z2 - z1 + self.a_rho @ (blocks[3] - blocks[2]), -(z1 + z2)
 
     def constraint_matrix(self) -> np.ndarray:
         """Materialized 4p x 2p inequality matrix (inspection and tests only)."""
@@ -196,16 +198,25 @@ def build_lp(problem: LpProblem) -> StandardFormLp:
     """Recast the constrained l1 program as the standard-form inequality LP."""
     a_rho = problem.A
     if problem.ridge_rho > 0:
-        a_rho = a_rho + problem.ridge_rho * np.eye(problem.p)
+        a_rho = a_rho.copy()
+        _diagonal(a_rho)[:] += problem.ridge_rho
     return StandardFormLp(a_rho=a_rho, b=problem.b.copy(), lam=problem.lam)
 
 
-def _boundary_step(v, dv):
-    """Largest alpha in [0, 1] keeping v + alpha * dv >= 0."""
-    neg = dv < 0
-    if not np.any(neg):
-        return 1.0
-    return min(1.0, float(np.min(-v[neg] / dv[neg])))
+def _diagonal(square):
+    """Writable strided view of the diagonal of a C-contiguous square array."""
+    return square.reshape(-1)[:: square.shape[0] + 1]
+
+
+def _step_lengths(v, dv):
+    """For each row of v > 0, the largest alpha in [0, 1] keeping v + alpha * dv >= 0.
+
+    That is min(1, min over dv_i < 0 of -v_i / dv_i), taken as minus the largest
+    v_i / dv_i. The other entries divide by NaN, which the NaN-skipping fmax and
+    fmin pass over; a row with no dv_i < 0 gets the full step.
+    """
+    ratio = v / np.where(dv < 0, dv, np.nan)
+    return np.fmin(-np.fmax.reduce(ratio, axis=1), 1.0)
 
 
 def _initial_beta(sf: StandardFormLp, rho: float, lam: float):
@@ -249,11 +260,14 @@ def _dense_newton_factor(a_rho, w, dd):
     """Cholesky factor of A_rho diag(w) A_rho + diag(dd), escalating the jitter
     along _CHOL_JITTERS; raises NotPositiveDefinite when every level fails."""
     h_mat = a_rho @ (w[:, None] * a_rho)
-    h_mat[np.diag_indices_from(h_mat)] += dd
-    diag_scale = float(np.abs(np.diag(h_mat)).max())
+    diagonal = _diagonal(h_mat)
+    diagonal += dd
     for jitter in _CHOL_JITTERS:
+        trial = h_mat
+        if jitter > 0.0:
+            trial = h_mat.copy()
+            _diagonal(trial)[:] += jitter * float(np.abs(diagonal).max())
         try:
-            trial = h_mat if jitter == 0.0 else h_mat + jitter * diag_scale * np.eye(a_rho.shape[0])
             return linalg.spd_factor(trial)
         except NotPositiveDefinite:
             continue
@@ -288,7 +302,7 @@ class _NewtonSystem:
         self.m = factor.T @ self.v[:, self.k :]
         scaled = self.v / np.sqrt(self.g)[:, None]
         capacitance = self._apply_c(scaled.T @ scaled)
-        capacitance[np.diag_indices_from(capacitance)] += 1.0
+        _diagonal(capacitance)[:] += 1.0
         if np.all(np.isfinite(capacitance)):
             lu, piv, info = scipy.linalg.lapack.dgetrf(capacitance)
             if info == 0:
@@ -370,8 +384,11 @@ def solve(problem: LpProblem, config: SolverConfig | None = None) -> LpSolution:
     u = np.abs(beta) + 1.0
     h = sf.rhs()
     m = sf.n_constraints
-    s = np.maximum(h - sf.apply_g(beta, u), 1e-10 * (1.0 + lam))
-    z = np.ones(m)
+    # slacks s and duals z are the rows of one array, so one pass finds both step lengths
+    sz = np.empty((2, m))
+    s, z = sz
+    s[:] = np.maximum(h - sf.apply_g(beta, u), 1e-10 * (1.0 + lam))
+    z[:] = 1.0
 
     h_scale = 1.0 + float(np.abs(h).max())
     resid_cert = lam * (1 + 1e-6) + 1e-8
@@ -381,68 +398,68 @@ def solve(problem: LpProblem, config: SolverConfig | None = None) -> LpSolution:
     fallbacks = 0
 
     for _ in range(config.max_iter):
-        g = sf.apply_g(beta, u)
-        rp = g + s - h
-        gt_beta, gt_u = sf.apply_gt(z)
-        rd_beta, rd_u = gt_beta, 1.0 + gt_u  # c = (0, 1)
-        obj = float(u.sum())
+        ab = sf.a_rho @ beta
+        rp = sf.apply_g(beta, u, ab) + s - h
+        rd_beta, gt_u = sf.apply_gt(z)
+        rd_u = 1.0 + gt_u  # c = (0, 1)
         comp = float(s @ z)
-        gap_rel = comp / (1.0 + abs(obj))
-        rp_rel = float(np.abs(rp).max()) / h_scale
-        rd_rel = max(float(np.abs(rd_beta).max()), float(np.abs(rd_u).max())) / 2.0
-        true_resid = float(np.abs(sf.a_rho @ beta - sf.b).max())
+        gap_rel = comp / (1.0 + abs(float(u.sum())))
+        # the cheap gap test first: the residual norms are only needed near the end
         if (
-            rp_rel <= config.feas_tol
-            and rd_rel <= config.feas_tol
-            and gap_rel <= config.gap_tol
-            and true_resid <= resid_cert
+            gap_rel <= config.gap_tol
+            and float(np.abs(rp).max()) / h_scale <= config.feas_tol
+            and max(float(np.abs(rd_beta).max()), float(np.abs(rd_u).max())) / 2.0
+            <= config.feas_tol
+            and float(np.abs(ab - sf.b).max()) <= resid_cert
         ):
             status = OPTIMAL
             break
 
         d = z / s
-        d1, d2 = d[:p], d[p : 2 * p]
-        d3, d4 = d[2 * p : 3 * p], d[3 * p :]
+        d1, d2, d3, d4 = d.reshape(4, p)
         e = d1 + d2
         f = d1 - d2
-        w = d3 + d4
+        f_e = f / e
+        sz_prod = s * z
+        d_rp = d * rp
+        neg_s, neg_rp, neg_rd_beta, neg_rd_u = -s, -rp, -rd_beta, -rd_u
 
         def newton_step(rcomp):
-            t = d * rp - rcomp / s
-            gt_t_beta, gt_t_u = sf.apply_gt(t)
-            r1 = -rd_beta - gt_t_beta
-            r2 = -rd_u - gt_t_u
-            dbeta = newton.solve(r1 - (f / e) * r2)
+            """Directions (dbeta, du) and the stacked (ds, dz)."""
+            gt_t_beta, gt_t_u = sf.apply_gt(d_rp - rcomp / s)
+            r2 = neg_rd_u - gt_t_u
+            dbeta = newton.solve(neg_rd_beta - gt_t_beta - f_e * r2)
             du = (r2 - f * dbeta) / e
-            ds = -rp - sf.apply_g(dbeta, du)
-            dz = -(rcomp + z * ds) / s
-            return dbeta, du, ds, dz
+            dsz = np.empty((2, m))
+            ds, dz = dsz[0], dsz[1]
+            np.subtract(neg_rp, sf.apply_g(dbeta, du), out=ds)  # ds = -rp - G (dbeta, du)
+            np.divide(rcomp + z * ds, neg_s, out=dz)  # dz = -(rcomp + z ds) / s
+            return dbeta, du, dsz
 
         try:
-            newton = _NewtonSystem(sf.a_rho, w, 4.0 * d1 * d2 / e, factor, rho)
+            newton = _NewtonSystem(sf.a_rho, d3 + d4, 4.0 * d1 * d2 / e, factor, rho)
             mu = comp / m
-            dbeta_a, du_a, ds_a, dz_a = newton_step(s * z)
-            alpha_p_a = _boundary_step(s, ds_a)
-            alpha_d_a = _boundary_step(z, dz_a)
-            mu_aff = float((s + alpha_p_a * ds_a) @ (z + alpha_d_a * dz_a)) / m
+            _, _, dsz_a = newton_step(sz_prod)
+            trial = sz + _step_lengths(sz, dsz_a)[:, None] * dsz_a
+            mu_aff = float(trial[0] @ trial[1]) / m
             sigma = min(1.0, max(0.0, (mu_aff / max(mu, 1e-300)) ** 3))
 
-            dbeta, du, ds, dz = newton_step(s * z + ds_a * dz_a - sigma * mu)
+            ds_a, dz_a = dsz_a[0], dsz_a[1]
+            dbeta, du, dsz = newton_step(sz_prod + ds_a * dz_a - sigma * mu)
         except NotPositiveDefinite:  # the dense factor, built first or as a fallback
             status = NUMERICAL_FAILURE
             fallbacks += factor is not None
             break
         fallbacks += newton.fell_back
-        alpha_p = min(1.0, _STEP_FRACTION * _boundary_step(s, ds))
-        alpha_d = min(1.0, _STEP_FRACTION * _boundary_step(z, dz))
+        alphas = _STEP_FRACTION * _step_lengths(sz, dsz)
+        alpha_p, alpha_d = alphas.tolist()
         if alpha_p < 1e-10 and alpha_d < 1e-10:
             status = NUMERICAL_FAILURE
             break
 
-        beta = beta + alpha_p * dbeta
-        u = u + alpha_p * du
-        s = s + alpha_p * ds
-        z = z + alpha_d * dz
+        beta += alpha_p * dbeta
+        u += alpha_p * du
+        sz += alphas[:, None] * dsz
         iterations += 1
 
     return _solution(sf, beta, iterations, float(gap_rel), status, factor is not None, fallbacks)
@@ -460,8 +477,14 @@ def support(solution: LpSolution, config: SolverConfig | None = None) -> np.ndar
         config = SolverConfig()
     if solution.status != OPTIMAL:
         raise ValueError(f"support requires an optimal solution, got {solution.status!r}")
-    mags = np.abs(solution.beta)
+    return np.flatnonzero(support_mask(solution.beta, config.support_eps))
+
+
+def support_mask(beta, support_eps) -> np.ndarray:
+    """Boolean mask of |beta_j| > support_eps * max_i |beta_i|; all False when
+    max |beta| <= ZERO_FLOOR. The one support threshold of the package."""
+    mags = np.abs(beta)
     top = mags.max() if mags.size else 0.0
     if top <= ZERO_FLOOR:
-        return np.array([], dtype=int)
-    return np.flatnonzero(mags > config.support_eps * top)
+        return np.zeros(mags.size, dtype=bool)
+    return mags > support_eps * top

@@ -3,6 +3,10 @@
 Matrices and vectors are plain float64 numpy arrays. Factorizations are
 delegated to LAPACK (via numpy/scipy); this module owns the validation,
 the error mapping, and the spectral pseudo-inverse built on top.
+spd_factor and spd_solve call LAPACK's dpotrf and dpotrs directly:
+scipy.linalg.cho_factor and cho_solve reach the same routines through
+Python layers that cost more than the factorization itself on the small
+matrices the interior-point solver factors at every iteration.
 
 All tolerances are relative to the matrix max-norm so the checks are
 scale-free.
@@ -11,7 +15,7 @@ scale-free.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NonConvergence, NotPositiveDefinite
 
@@ -52,18 +56,26 @@ def check_symmetric(a, name="matrix", rtol=SYMMETRY_RTOL):
 def spd_factor(a):
     """Cholesky-factor a symmetric positive-definite matrix.
 
-    Returns an opaque factor for :func:`spd_solve`. Raises
-    NotPositiveDefinite if any pivot is non-positive.
+    Only the lower triangle of ``a`` is read, and ``a`` is not modified.
+    Returns an opaque factor for :func:`spd_solve`, bit-identical to
+    ``scipy.linalg.cho_factor(a, lower=True)``. Raises NotPositiveDefinite
+    if any pivot is non-positive.
     """
-    try:
-        return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+    c, info = lapack.dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return c, True
 
 
 def spd_solve(factor, b):
     """Solve using a factor from :func:`spd_factor`; b may be a vector or matrix."""
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    c, lower = factor
+    x, info = lapack.dpotrs(c, b, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 def cholesky_solve(a, b):

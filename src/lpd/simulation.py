@@ -37,7 +37,7 @@ from .classifier import (
     predict,
 )
 from .errors import DimensionMismatch, LpdError, SolverError, SolverFailure, ZeroBeta
-from .l1solver import ZERO_FLOOR, SolverConfig
+from .l1solver import SolverConfig, support_mask
 from .model_selection import CvPlan, cross_validate, default_lambda_grid
 from .stats import LabeledDataset, compute_moments
 
@@ -239,11 +239,7 @@ def support_metrics(beta_hat, beta_star, support_eps=1e-3) -> SupportMetrics:
     beta_star = linalg.as_vector(beta_star, "beta_star")
     if beta_hat.size != beta_star.size:
         raise DimensionMismatch("beta_hat and beta_star must have equal length")
-    top = np.abs(beta_hat).max()
-    if top <= ZERO_FLOOR:
-        declared = np.zeros(beta_hat.size, bool)
-    else:
-        declared = np.abs(beta_hat) > support_eps * top
+    declared = support_mask(beta_hat, support_eps)
     true = np.abs(beta_star) > 1e-10
     pos = int(declared.sum())
     tpos = int((declared & true).sum())
@@ -390,6 +386,24 @@ def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size, fixed_gr
     return record
 
 
+def check_run_options(methods, cv_folds=None, grid_size=None) -> tuple:
+    """The method names, lower-cased, after checking the options of
+    :func:`run_benchmark` that only the replications would otherwise reach.
+
+    Raises ValueError for an unknown method, fewer than 2 folds or a grid of
+    fewer than 2 lambdas; a None option is not checked.
+    """
+    methods = tuple(m.lower() for m in methods)
+    unknown = sorted(set(methods) - set(METHOD_ORDER))
+    if unknown:
+        raise ValueError(f"unknown methods: {unknown}; choose from {METHOD_ORDER}")
+    if cv_folds is not None and cv_folds < 2:
+        raise ValueError("folds must be >= 2")
+    if grid_size is not None and grid_size < 2:
+        raise ValueError("size must be >= 2")
+    return methods
+
+
 def run_benchmark(
     spec: SimulationSpec,
     methods=METHOD_ORDER,
@@ -410,18 +424,19 @@ def run_benchmark(
     every replication; otherwise the grid is re-anchored at each
     replication's train moments.
 
-    Replications run on independent deterministic RNG streams, so results
-    do not depend on ``max_workers``. Failed replications are excluded
-    from the averages and counted, never silently dropped; ``failures``
-    lists them in replication order. When every replication fails,
+    Bad options raise ValueError before any replication starts (see
+    :func:`check_run_options`). Replications run on independent
+    deterministic RNG streams, so results do not depend on
+    ``max_workers``. Failed replications are excluded from the averages
+    and counted, never silently dropped; ``failures`` lists them in
+    replication order. When every replication fails,
     :class:`SolverFailure` is raised.
     """
-    methods = tuple(m.lower() for m in methods)
-    unknown = sorted(set(methods) - set(METHOD_ORDER))
-    if unknown:
-        raise ValueError(f"unknown methods: {unknown}; choose from {METHOD_ORDER}")
     fixed_grid = None
-    if cv_plan is not None:
+    if cv_plan is None:
+        methods = check_run_options(methods, cv_folds, grid_size)
+    else:
+        methods = check_run_options(methods)
         cv_folds = cv_plan.folds
         fixed_grid = cv_plan.lambda_grid
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lpd import cli
+from lpd import cli, simulation
 from lpd.cli import main
 from lpd.dataio import load_dataset, load_model
 
@@ -339,6 +339,37 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"lpd {command}: error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--folds", "1", "folds must be >= 2"),
+        ("--grid-size", "1", "size must be >= 2"),
+        ("--methods", "lpd,svm",
+         "unknown methods: ['svm']; choose from "
+         "('lpd', 'naive_bayes', 'glda', 'ofair', 'oracle')"),
+    ])
+    def test_simulate_replication_flags_are_usage_errors(self, tmp_path, monkeypatch, capsys,
+                                                         flag, value, message):
+        """Flags only the replications use are checked before any replication starts."""
+        def no_replication(*args):
+            raise AssertionError("a replication started")
+
+        monkeypatch.setattr(simulation, "_run_replication", no_replication)
+        out = tmp_path / "r.csv"
+        argv = ["simulate", "--model-id", "1", "--p", "10", "--reps", "1", "--methods", "lpd",
+                flag, value, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"lpd simulate: error: {message}\n"
+        assert not out.exists()
+
+    def test_value_error_inside_a_replication_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("broken replication")
+
+        monkeypatch.setattr(simulation, "_run_replication", broken)
+        argv = ["simulate", "--model-id", "1", "--p", "10", "--reps", "1", "--methods", "lpd",
+                "--out", str(tmp_path / "r.csv")]
+        with pytest.raises(ValueError, match="broken replication"):
+            main(argv)
 
     def test_thread_cap_clamped_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.linalg
+from numpy.testing import assert_allclose, assert_array_equal
 
-from lpd.errors import InfeasibleProblem, SolverFailure
+from lpd import l1solver, linalg
+from lpd.errors import InfeasibleProblem, NotPositiveDefinite, SolverFailure
 from lpd.l1solver import (
     ITERATION_LIMIT,
     OPTIMAL,
@@ -260,3 +262,64 @@ class TestValidation:
         moments = compute_moments(data)
         with pytest.raises(SolverFailure, match="status"):
             fit_lpd_from_moments(moments, 0.05, SolverConfig(max_iter=1))
+
+
+class TestStepLengths:
+    @staticmethod
+    def reference(v, dv):
+        """The ratio test one entry at a time."""
+        ratios = [-vi / dvi for vi, dvi in zip(v, dv) if dvi < 0]
+        return min([1.0, *ratios])
+
+    def test_matches_the_entrywise_ratio_test(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            v = 10.0 ** rng.uniform(-12, 2, (2, 40))
+            dv = rng.standard_normal((2, 40)) * 10.0 ** rng.uniform(-6, 6, (2, 40))
+            dv[rng.random((2, 40)) < 0.1] = 0.0
+            steps = l1solver._step_lengths(v, dv)
+            for row in range(2):
+                assert steps[row] == self.reference(v[row], dv[row])
+
+    def test_no_decreasing_entry_gives_a_full_step(self):
+        v = np.ones((2, 3))
+        dv = np.array([[0.0, -0.0, 1.0], [2.0, 0.0, 3.0]])
+        assert_array_equal(l1solver._step_lengths(v, dv), [1.0, 1.0])
+
+
+class TestJitterLadder:
+    """_dense_newton_factor retries a rejected Newton matrix with jitter
+    _CHOL_JITTERS[k] * max|diag H| added to the diagonal, level by level."""
+
+    @staticmethod
+    def count_factor_calls(monkeypatch):
+        calls, original = [], linalg.spd_factor
+
+        def counted(a):
+            calls.append(a.copy())
+            return original(a)
+
+        monkeypatch.setattr(linalg, "spd_factor", counted)
+        return calls
+
+    def test_passes_at_a_later_level(self, monkeypatch):
+        # H = I diag(1, 1) I + diag(0, -1 - 1e-12) = diag(1, -1e-12): jitter 0 and
+        # 1e-14 leave the second pivot negative, 1e-10 makes it positive.
+        calls = self.count_factor_calls(monkeypatch)
+        a_rho, w, dd = np.eye(2), np.ones(2), np.array([0.0, -1.0 - 1e-12])
+        c, lower = l1solver._dense_newton_factor(a_rho, w, dd)
+        assert l1solver._CHOL_JITTERS[:3] == (0.0, 1e-14, 1e-10)
+        assert len(calls) == 3
+        h_mat = np.diag(w) + np.diag(dd)
+        assert_array_equal(calls[0], h_mat)
+        expected = h_mat + 1e-10 * np.eye(2)
+        assert_array_equal(calls[2], expected)
+        reference = scipy.linalg.cho_factor(expected, lower=True)
+        assert lower is True
+        assert_array_equal(c, reference[0])
+
+    def test_rejected_at_every_level(self, monkeypatch):
+        calls = self.count_factor_calls(monkeypatch)
+        with pytest.raises(NotPositiveDefinite, match="every jitter level"):
+            l1solver._dense_newton_factor(np.eye(2), np.ones(2), np.array([0.0, -2.0]))
+        assert len(calls) == len(l1solver._CHOL_JITTERS)

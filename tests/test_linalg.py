@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.linalg
+from numpy.testing import assert_allclose, assert_array_equal
 
 from lpd.errors import DimensionMismatch, NotPositiveDefinite
-from lpd.linalg import cholesky_solve, pseudo_inverse, spd_inverse, sym_eigen
+from lpd.linalg import (
+    cholesky_solve,
+    pseudo_inverse,
+    spd_factor,
+    spd_inverse,
+    spd_solve,
+    sym_eigen,
+)
 
 from oracles import determinant, gauss_solve
 
@@ -36,6 +44,36 @@ class TestCholeskySolve:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             cholesky_solve([[1.0, 0.5], [0.0, 1.0]], [1.0, 1.0])
+
+
+class TestSpdFactorSolve:
+    """spd_factor/spd_solve call LAPACK directly; they must agree with scipy's
+    cho_factor/cho_solve, which reach the same routines, bit for bit."""
+
+    @pytest.mark.parametrize("p", [1, 7, 100])
+    def test_bit_identical_to_scipy(self, p):
+        rng = np.random.default_rng(p)
+        m = rng.standard_normal((p, p))
+        a = m @ m.T / p + np.eye(p)
+        original = a.copy()
+        factor = spd_factor(a)
+        reference = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+        assert_array_equal(a, original)
+        assert factor[1] is True and reference[1] is True
+        assert_array_equal(factor[0], reference[0])
+        for b in (rng.standard_normal(p), rng.standard_normal((p, 3))):
+            x = spd_solve(factor, b)
+            assert x.shape == b.shape
+            assert_array_equal(x, scipy.linalg.cho_solve(reference, b, check_finite=False))
+
+    @pytest.mark.parametrize("a, minor", [
+        (np.diag([4.0, 1.0, -1.0, 2.0]), 3),
+        (np.diag([-2.0, 1.0]), 1),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), 2),
+    ])
+    def test_not_positive_definite_names_leading_minor(self, a, minor):
+        with pytest.raises(NotPositiveDefinite, match=f"^{minor}-th leading minor"):
+            spd_factor(a)
 
 
 class TestSymEigen:
