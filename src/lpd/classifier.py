@@ -117,6 +117,17 @@ def predict(model: LpdModel, x):
     return np.where(scores >= model.threshold, 1, 2)
 
 
+def _certified_solve(A, b, lam, ridge_rho, factor, config, context=""):
+    """Solve the l1 program; SolverFailure, its message prefixed by ``context``, unless optimal."""
+    sol = solve(LpProblem(A=A, b=b, lam=lam, ridge_rho=ridge_rho, factor=factor), config)
+    if sol.status != OPTIMAL:
+        raise SolverFailure(
+            f"{context}l1 solver returned status {sol.status!r} at lambda={lam:g} "
+            f"(gap {sol.duality_gap:.2e} after {sol.iterations} iterations)"
+        )
+    return sol
+
+
 def fit_lpd_from_moments(
     moments: TwoSampleMoments,
     lam: float,
@@ -131,15 +142,9 @@ def fit_lpd_from_moments(
     """
     if ridge_rho is None:
         ridge_rho = auto_ridge(moments.p, moments.n1 + moments.n2)
-    problem = LpProblem(
-        A=moments.sigma_hat, b=moments.delta_hat, lam=lam, ridge_rho=ridge_rho, factor=moments.factor
+    sol = _certified_solve(
+        moments.sigma_hat, moments.delta_hat, lam, ridge_rho, moments.factor, config
     )
-    sol = solve(problem, config)
-    if sol.status != OPTIMAL:
-        raise SolverFailure(
-            f"l1 solver returned status {sol.status!r} at lambda={lam:g} "
-            f"(gap {sol.duality_gap:.2e} after {sol.iterations} iterations)"
-        )
     return LpdModel(
         beta=sol.beta,
         mu_hat=moments.mu_hat,
@@ -256,14 +261,9 @@ def fit_multiclass(
         ridge_rho = auto_ridge(data.p, data.n)
     pairwise = {}
     for k, l in combinations(class_ids, 2):
-        problem = LpProblem(
-            A=sigma, b=means[k] - means[l], lam=lam, ridge_rho=ridge_rho, factor=factor
+        sol = _certified_solve(
+            sigma, means[k] - means[l], lam, ridge_rho, factor, config, f"pair ({k}, {l}): "
         )
-        sol = solve(problem, config)
-        if sol.status != OPTIMAL:
-            raise SolverFailure(
-                f"pair ({k}, {l}) solver status {sol.status!r} at lambda={lam:g}"
-            )
         pairwise[(k, l)] = (sol.beta, 0.5 * (means[k] + means[l]))
     return MultiClassLpdModel(
         class_ids=class_ids,

@@ -159,9 +159,6 @@ class StandardFormLp:
     def n_constraints(self) -> int:
         return 4 * self.p
 
-    def cost(self) -> np.ndarray:
-        return np.concatenate([np.zeros(self.p), np.ones(self.p)])
-
     def rhs(self) -> np.ndarray:
         lam = np.full(self.p, self.lam)
         return np.concatenate([np.zeros(self.p), np.zeros(self.p), lam - self.b, lam + self.b])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import auto_ridge, fit_lpd_from_moments, predict
+from .classifier import fit_lpd_from_moments, predict
 from .errors import DegenerateDelta, SolverError, SolverFailure, TooFewSamplesPerClass
 from .l1solver import SolverConfig
 from .stats import LabeledDataset, TwoSampleMoments, compute_moments
@@ -95,10 +95,9 @@ def cross_validate(
         train = data.subset(np.flatnonzero(fold_ids != fold))
         val = data.subset(np.flatnonzero(fold_ids == fold))
         moments = compute_moments(train)
-        rho = auto_ridge(moments.p, moments.n1 + moments.n2)
         for j, lam in enumerate(grid):
             try:
-                model = fit_lpd_from_moments(moments, float(lam), config, rho)
+                model = fit_lpd_from_moments(moments, float(lam), config)
             except SolverError as exc:
                 failures.setdefault(j, []).append((fold, str(exc)))
                 continue

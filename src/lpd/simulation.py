@@ -28,7 +28,6 @@ from scipy.special import ndtr
 from . import linalg
 from .classifier import (
     LpdModel,
-    auto_ridge,
     fit_glda,
     fit_lpd_from_moments,
     fit_naive_bayes,
@@ -270,61 +269,66 @@ class RepRecord:
 
 @dataclass
 class EvalReport:
-    """Aggregated replication results; error figures are percentages."""
+    """Replication results: ``table`` maps (section, name) to (mean, sd) in report order."""
 
     spec: SimulationSpec
     methods: tuple
-    reps_completed: int
-    reps_failed: int
     failures: list
-    error_mean: dict
-    error_sd: dict
-    lambda_hat_mean: float
-    lambda_hat_sd: float
-    lambda_opt_mean: float
-    lambda_opt_sd: float
-    pos_mean: float
-    pos_sd: float
-    tpos_mean: float
-    tpos_sd: float
-    tpr_mean: float
-    tpr_sd: float
-    fpr_mean: float
-    fpr_sd: float
-    conditional_rates: list
-    oracle_rate_mean: float
-    oracle_rate_sd: float
+    table: dict
     records: list = field(default_factory=list)
 
     def to_rows(self):
         """Fixed-order (section, name, mean, sd) rows for CSV reports."""
-        rows = []
-        for method in METHOD_ORDER:
-            if method in self.methods:
-                rows.append(("error", method, self.error_mean[method], self.error_sd[method]))
-        if "lpd" in self.methods:
-            rows.append(("support", "pos", self.pos_mean, self.pos_sd))
-            rows.append(("support", "tpos", self.tpos_mean, self.tpos_sd))
-            rows.append(("support", "tpr", self.tpr_mean, self.tpr_sd))
-            rows.append(("support", "fpr", self.fpr_mean, self.fpr_sd))
-            rows.append(("lambda", "hat", self.lambda_hat_mean, self.lambda_hat_sd))
-            rows.append(("lambda", "opt", self.lambda_opt_mean, self.lambda_opt_sd))
-            rn = np.asarray(self.conditional_rates, dtype=float)
-            rows.append(("rate", "conditional", _mean(rn), _sd(rn)))
-        rows.append(("rate", "oracle", self.oracle_rate_mean, self.oracle_rate_sd))
-        rows.append(("meta", "reps_completed", float(self.reps_completed), float("nan")))
-        rows.append(("meta", "reps_failed", float(self.reps_failed), float("nan")))
-        return rows
+        return [(*key, *stats) for key, stats in self.table.items()]
+
+    @property
+    def reps_completed(self) -> int:
+        return len(self.records)
+
+    @property
+    def reps_failed(self) -> int:
+        return self.spec.reps - len(self.records)
+
+    @property
+    def error_mean(self) -> dict:
+        return {m: self.table["error", m][0] for m in self.methods}
+
+    @property
+    def tpos_mean(self) -> float:
+        return self.table["support", "tpos"][0]
+
+    @property
+    def tpr_mean(self) -> float:
+        return self.table["support", "tpr"][0]
+
+    @property
+    def fpr_mean(self) -> float:
+        return self.table["support", "fpr"][0]
 
 
-def _mean(values):
+def _mean_sd(values) -> tuple:
+    """Mean and SD (ddof 1) of the non-NaN values; NaN where undefined."""
+    values = np.asarray(values, dtype=float)
     values = values[~np.isnan(values)]
-    return float(values.mean()) if values.size else float("nan")
+    nan = float("nan")
+    return (float(values.mean()) if values.size else nan,
+            float(values.std(ddof=1)) if values.size > 1 else nan)
 
 
-def _sd(values):
-    values = values[~np.isnan(values)]
-    return float(values.std(ddof=1)) if values.size > 1 else float("nan")
+def _summarize(spec, methods, records) -> dict:
+    """The report table in row order; error figures are percentages, meta rows have sd NaN."""
+    table = {("error", m): _mean_sd([r.errors.get(m, float("nan")) for r in records])
+             for m in METHOD_ORDER if m in methods}
+    if "lpd" in methods:
+        for name in ("pos", "tpos", "tpr", "fpr"):
+            table["support", name] = _mean_sd([getattr(r.support, name) for r in records])
+        table["lambda", "hat"] = _mean_sd([r.lambda_hat for r in records])
+        table["lambda", "opt"] = _mean_sd([r.lambda_opt for r in records])
+        table["rate", "conditional"] = _mean_sd([r.conditional_rate for r in records])
+    table["rate", "oracle"] = _mean_sd([r.oracle_rate for r in records])
+    table["meta", "reps_completed"] = (float(len(records)), float("nan"))
+    table["meta", "reps_failed"] = (float(spec.reps - len(records)), float("nan"))
+    return table
 
 
 def _error_percent(model, dataset) -> float:
@@ -349,12 +353,11 @@ def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size, fixed_gr
         grid = fixed_grid if fixed_grid is not None else default_lambda_grid(moments, grid_size)
         plan = CvPlan(folds=cv_folds, lambda_grid=grid, seed=fold_seed)
         cv = cross_validate(train, plan, config)
-        rho = auto_ridge(moments.p, moments.n1 + moments.n2)
         test_errors = {}
         chosen_model = None
         for lam in plan.lambda_grid:
             try:
-                model = fit_lpd_from_moments(moments, float(lam), config, rho)
+                model = fit_lpd_from_moments(moments, float(lam), config)
             except SolverError as exc:
                 # as in cross_validate, a failed lambda is skipped; only the chosen one is needed
                 if float(lam) == cv.chosen_lambda:
@@ -458,46 +461,10 @@ def run_benchmark(
     if not records:
         raise SolverFailure(f"all {spec.reps} replications failed: {failures[:3]}")
 
-    def collect(getter):
-        return np.asarray([getter(r) for r in records], dtype=float)
-
-    error_mean, error_sd = {}, {}
-    for method in methods:
-        vals = collect(lambda r, m=method: r.errors.get(m, float("nan")))
-        error_mean[method] = _mean(vals)
-        error_sd[method] = _sd(vals)
-
-    sup = [r.support for r in records if r.support is not None]
-    pos = np.asarray([s.pos for s in sup], dtype=float) if sup else np.array([])
-    tpos = np.asarray([s.tpos for s in sup], dtype=float) if sup else np.array([])
-    tpr = np.asarray([s.tpr for s in sup], dtype=float) if sup else np.array([])
-    fpr = np.asarray([s.fpr for s in sup], dtype=float) if sup else np.array([])
-    lam_hat = collect(lambda r: r.lambda_hat)
-    lam_opt = collect(lambda r: r.lambda_opt)
-    rates = collect(lambda r: r.oracle_rate)
-
     return EvalReport(
         spec=spec,
         methods=methods,
-        reps_completed=len(records),
-        reps_failed=spec.reps - len(records),
         failures=failures,
-        error_mean=error_mean,
-        error_sd=error_sd,
-        lambda_hat_mean=_mean(lam_hat),
-        lambda_hat_sd=_sd(lam_hat),
-        lambda_opt_mean=_mean(lam_opt),
-        lambda_opt_sd=_sd(lam_opt),
-        pos_mean=_mean(pos),
-        pos_sd=_sd(pos),
-        tpos_mean=_mean(tpos),
-        tpos_sd=_sd(tpos),
-        tpr_mean=_mean(tpr),
-        tpr_sd=_sd(tpr),
-        fpr_mean=_mean(fpr),
-        fpr_sd=_sd(fpr),
-        conditional_rates=[r.conditional_rate for r in records],
-        oracle_rate_mean=_mean(rates),
-        oracle_rate_sd=_sd(rates),
+        table=_summarize(spec, methods, records),
         records=records,
     )

@@ -190,15 +190,11 @@ def t_statistics(data):
     coincide.
     """
     _require_binary(data)
-    rows1, rows2 = data.class_rows(1), data.class_rows(2)
-    for k, rows in ((1, rows1), (2, rows2)):
-        if rows.size < 2:
-            raise TooFewSamples(f"class {k} has {rows.size} samples; need at least 2")
-    x1, x2 = data.features[rows1], data.features[rows2]
-    diff = x1.mean(axis=0) - x2.mean(axis=0)
-    se2 = x1.var(axis=0, ddof=1) / rows1.size + x2.var(axis=0, ddof=1) / rows2.size
+    means = class_means(data)
+    x1, x2 = data.features[data.class_rows(1)], data.features[data.class_rows(2)]
+    se2 = x1.var(axis=0, ddof=1) / len(x1) + x2.var(axis=0, ddof=1) / len(x2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = diff / np.sqrt(se2)
+        t = (means[1] - means[2]) / np.sqrt(se2)
     t[np.isnan(t)] = 0.0  # 0/0: no mean shift, no evidence
     return t
 

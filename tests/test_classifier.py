@@ -288,6 +288,34 @@ class TestMulticlass:
         assert_allclose(beta_21, -beta_12)
 
 
+    def test_failed_pair_named_with_gap(self, monkeypatch):
+        import lpd.classifier as classifier
+        from lpd.errors import SolverFailure
+        from lpd.l1solver import ITERATION_LIMIT, LpSolution
+
+        real, calls = classifier.solve, []
+
+        def second_pair_stalls(problem, config=None):
+            calls.append(1)
+            if len(calls) == 2:  # pairs run in order (1, 2), (1, 3), (2, 3)
+                return LpSolution(beta=np.zeros(problem.b.size), objective=0.0,
+                                  max_residual=1.0, iterations=100, duality_gap=3.5e-4,
+                                  status=ITERATION_LIMIT)
+            return real(problem, config)
+
+        monkeypatch.setattr(classifier, "solve", second_pair_stalls)
+        data = LabeledDataset(
+            np.vstack([np.random.default_rng(18).standard_normal((8, 3)) + c for c in (0, 2, 4)]),
+            np.repeat([1, 2, 3], 8),
+        )
+        with pytest.raises(SolverFailure) as failure:
+            fit_multiclass(data, lam=0.2)
+        message = str(failure.value)
+        assert message.startswith("pair (1, 3): ")
+        assert "'iteration_limit'" in message
+        assert "gap 3.50e-04 after 100 iterations" in message
+
+
 class TestOracleIndependenceGap:
     def test_identity_sigma_equality(self):
         delta = np.array([1.0, -2.0, 0.5])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +350,90 @@ class TestRunBenchmark:
                 "--methods", "naive_bayes", "--out", str(tmp_path / "r.csv")]
         assert main(argv) == 3
         assert not (tmp_path / "r.csv").exists()
+
+
+
+def oracle_table(report):
+    """The report table recomputed from its records with numpy's NaN-aware statistics."""
+
+    def stat(values):
+        values = np.asarray(values, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN or one value
+            return float(np.nanmean(values)), float(np.nanstd(values, ddof=1))
+
+    records = report.records
+    table = {}
+    for method in ("lpd", "naive_bayes", "glda", "ofair", "oracle"):
+        if method in report.methods:
+            table["error", method] = stat([r.errors[method] for r in records])
+    if "lpd" in report.methods:
+        for name in ("pos", "tpos", "tpr", "fpr"):
+            table["support", name] = stat([getattr(r.support, name) for r in records])
+        table["lambda", "hat"] = stat([r.lambda_hat for r in records])
+        table["lambda", "opt"] = stat([r.lambda_opt for r in records])
+        table["rate", "conditional"] = stat([r.conditional_rate for r in records])
+    table["rate", "oracle"] = stat([r.oracle_rate for r in records])
+    table["meta", "reps_completed"] = (float(len(records)), math.nan)
+    table["meta", "reps_failed"] = (float(report.spec.reps - len(records)), math.nan)
+    return table
+
+
+class TestReportTable:
+    """Every report row against a recomputation from the records, in the fixed order."""
+
+    SPEC = SimulationSpec(model_id=3, p=15, n1=25, n2=25, s0=3, reps=3, seed=21)
+    LPD_ROWS = [("support", "pos"), ("support", "tpos"), ("support", "tpr"),
+                ("support", "fpr"), ("lambda", "hat"), ("lambda", "opt"),
+                ("rate", "conditional")]
+    TAIL_ROWS = [("rate", "oracle"), ("meta", "reps_completed"), ("meta", "reps_failed")]
+
+    @staticmethod
+    def check(report, expected_keys):
+        rows = report.to_rows()
+        assert [row[:2] for row in rows] == expected_keys
+        oracle = oracle_table(report)
+        assert list(oracle) == expected_keys
+        for section, name, mean, sd in rows:
+            assert_allclose([mean, sd], oracle[section, name], rtol=1e-12, equal_nan=True)
+
+    def test_with_lpd(self):
+        report = run_benchmark(self.SPEC, methods=("oracle", "lpd", "naive_bayes"),
+                               grid_size=4, cv_folds=2)
+        assert report.reps_completed == 3
+        keys = [("error", "lpd"), ("error", "naive_bayes"), ("error", "oracle")]
+        self.check(report, keys + self.LPD_ROWS + self.TAIL_ROWS)
+        assert report.error_mean == {m: report.table["error", m][0]
+                                     for m in ("oracle", "lpd", "naive_bayes")}
+        assert list(report.error_mean) == ["oracle", "lpd", "naive_bayes"]
+        assert report.tpos_mean == report.table["support", "tpos"][0]
+
+    def test_without_lpd(self):
+        report = run_benchmark(self.SPEC, methods=("oracle", "glda", "naive_bayes"))
+        keys = [("error", "naive_bayes"), ("error", "glda"), ("error", "oracle")]
+        self.check(report, keys + self.TAIL_ROWS)
+
+    def test_failed_replication_in_meta_rows(self, monkeypatch):
+        import lpd.simulation as sim
+        from lpd.errors import SolverFailure
+
+        real = sim._run_replication
+
+        def middle_fails(spec_, methods, seed_seq, rep, *rest):
+            if rep == 1:
+                raise SolverFailure("injected")
+            return real(spec_, methods, seed_seq, rep, *rest)
+
+        monkeypatch.setattr(sim, "_run_replication", middle_fails)
+        report = sim.run_benchmark(self.SPEC, methods=("lpd", "oracle"), grid_size=4, cv_folds=2)
+        assert [r.rep for r in report.records] == [0, 2]
+        self.check(report, [("error", "lpd"), ("error", "oracle")] + self.LPD_ROWS
+                   + self.TAIL_ROWS)
+        rows = {row[:2]: row[2:] for row in report.to_rows()}
+        assert rows["meta", "reps_completed"][0] == 2.0
+        assert rows["meta", "reps_failed"][0] == 1.0
+        assert math.isnan(rows["meta", "reps_failed"][1])
+        assert (report.reps_completed, report.reps_failed) == (2, 1)
 
 
 class TestRefitFailures:
