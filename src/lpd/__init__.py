@@ -6,106 +6,27 @@ lambda, solved as a linear program by a primal-dual interior-point method.
 The package adds the standard baselines (naive Bayes, generalized-inverse
 LDA, oracle rules), cross-validation for lambda, feature screening for
 wide expression-style data, and a replicated synthetic benchmark harness.
+
+The top level exports the API that README.md documents; everything else is
+imported from its submodule, for example ``lpd.classifier.fit_multiclass``.
 """
 
-from .classifier import (
-    LpdModel,
-    MultiClassLpdModel,
-    decision_scores,
-    fit_glda,
-    fit_lpd,
-    fit_lpd_from_moments,
-    fit_multiclass,
-    fit_naive_bayes,
-    fit_ofair,
-    oracle_fisher,
-    oracle_independence_gap,
-    predict,
-    predict_multiclass,
-)
-from .dataio import DataFileSchema, load_dataset, load_model, save_dataset, save_model
-from .l1solver import (
-    ITERATION_LIMIT,
-    NUMERICAL_FAILURE,
-    OPTIMAL,
-    LpProblem,
-    LpSolution,
-    SolverConfig,
-    build_lp,
-    solve,
-    support,
-)
-from .linalg import cholesky_solve, pseudo_inverse, sym_eigen
-from .model_selection import CvPlan, CvResult, cross_validate, default_lambda_grid, make_folds
-from .simulation import (
-    EvalReport,
-    GroundTruth,
-    SimulationSpec,
-    build_model,
-    conditional_rate,
-    oracle_rate,
-    run_benchmark,
-    sample,
-    support_metrics,
-)
-from .stats import (
-    LabeledDataset,
-    TwoSampleMoments,
-    compute_moments,
-    t_statistic_screen,
-    variance_filter,
-)
+from .classifier import fit_lpd, predict
+from .l1solver import LpProblem, solve, support
+from .model_selection import CvPlan, cross_validate, default_lambda_grid
+from .stats import LabeledDataset, compute_moments
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CvPlan",
-    "CvResult",
-    "DataFileSchema",
-    "EvalReport",
-    "GroundTruth",
-    "ITERATION_LIMIT",
     "LabeledDataset",
     "LpProblem",
-    "LpSolution",
-    "LpdModel",
-    "MultiClassLpdModel",
-    "NUMERICAL_FAILURE",
-    "OPTIMAL",
-    "SimulationSpec",
-    "SolverConfig",
-    "TwoSampleMoments",
-    "build_lp",
-    "build_model",
-    "cholesky_solve",
     "compute_moments",
-    "conditional_rate",
     "cross_validate",
-    "decision_scores",
     "default_lambda_grid",
-    "fit_glda",
     "fit_lpd",
-    "fit_lpd_from_moments",
-    "fit_multiclass",
-    "fit_naive_bayes",
-    "fit_ofair",
-    "load_dataset",
-    "load_model",
-    "make_folds",
-    "oracle_fisher",
-    "oracle_independence_gap",
-    "oracle_rate",
     "predict",
-    "predict_multiclass",
-    "pseudo_inverse",
-    "run_benchmark",
-    "sample",
-    "save_dataset",
-    "save_model",
     "solve",
     "support",
-    "support_metrics",
-    "sym_eigen",
-    "t_statistic_screen",
-    "variance_filter",
 ]

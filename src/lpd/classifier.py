@@ -32,7 +32,8 @@ class LpdModel:
 
     ``kept_indices`` maps the model's coordinates back to original feature
     ids when the model was fit on a screened dataset; predictions then
-    accept full-width inputs and select the kept columns.
+    accept full-width inputs and select the kept columns. The ids must be
+    >= 0 and strictly increasing, so a row scores the same at either width.
     """
 
     beta: np.ndarray
@@ -52,6 +53,9 @@ class LpdModel:
             raise ValueError("threshold must be finite")
         if self.kept_indices is not None:
             self.kept_indices = np.asarray(self.kept_indices, dtype=int)
+            bad = np.flatnonzero(np.diff(self.kept_indices, prepend=-1) <= 0)
+            if bad.size:
+                raise ValueError(f"kept_indices[{bad[0]}] is negative or not above the one before")
 
     @property
     def p(self) -> int:
@@ -117,7 +121,7 @@ def predict(model: LpdModel, x):
     return np.where(scores >= model.threshold, 1, 2)
 
 
-def _certified_solve(A, b, lam, ridge_rho, factor, config, context=""):
+def _certified_solve(A, b, lam, ridge_rho, factor, config=None, context=""):
     """Solve the l1 program; SolverFailure, its message prefixed by ``context``, unless optimal."""
     sol = solve(LpProblem(A=A, b=b, lam=lam, ridge_rho=ridge_rho, factor=factor), config)
     if sol.status != OPTIMAL:
@@ -165,7 +169,6 @@ def fit_lpd_from_moments(
 def fit_lpd(
     data: LabeledDataset,
     lam: float,
-    config: SolverConfig | None = None,
     priors=None,
     estimate_priors: bool = False,
     ridge_rho: float | None = None,
@@ -183,7 +186,7 @@ def fit_lpd(
         n = moments.n1 + moments.n2
         priors = (moments.n1 / n, moments.n2 / n)
     threshold = _threshold_from_priors(priors) if priors is not None else 0.0
-    return fit_lpd_from_moments(moments, lam, config, ridge_rho, threshold)
+    return fit_lpd_from_moments(moments, lam, ridge_rho=ridge_rho, threshold=threshold)
 
 
 def fit_naive_bayes(data: LabeledDataset) -> LpdModel:
@@ -200,14 +203,14 @@ def fit_naive_bayes(data: LabeledDataset) -> LpdModel:
     )
 
 
-def fit_glda(data: LabeledDataset, rank_tol: float = 1e-10) -> LpdModel:
+def fit_glda(data: LabeledDataset) -> LpdModel:
     """LDA with the Moore-Penrose pseudo-inverse of the pooled covariance."""
     moments = compute_moments(data)
-    beta = linalg.pseudo_inverse(moments.sigma_hat, rank_tol) @ moments.delta_hat
+    beta = linalg.pseudo_inverse(moments.sigma_hat) @ moments.delta_hat
     return LpdModel(
         beta=beta,
         mu_hat=moments.mu_hat,
-        metadata={"method": "glda", "rank_tol": rank_tol, "n1": moments.n1, "n2": moments.n2},
+        metadata={"method": "glda", "rank_tol": linalg.RANK_TOL, "n1": moments.n1, "n2": moments.n2},
     )
 
 
@@ -245,7 +248,6 @@ def oracle_fisher(mu1, mu2, omega) -> LpdModel:
 def fit_multiclass(
     data: LabeledDataset,
     lam: float,
-    config: SolverConfig | None = None,
     ridge_rho: float | None = None,
 ) -> MultiClassLpdModel:
     """Pairwise LPD fits for K >= 2 classes.
@@ -262,7 +264,7 @@ def fit_multiclass(
     pairwise = {}
     for k, l in combinations(class_ids, 2):
         sol = _certified_solve(
-            sigma, means[k] - means[l], lam, ridge_rho, factor, config, f"pair ({k}, {l}): "
+            sigma, means[k] - means[l], lam, ridge_rho, factor, context=f"pair ({k}, {l}): "
         )
         pairwise[(k, l)] = (sol.beta, 0.5 * (means[k] + means[l]))
     return MultiClassLpdModel(

@@ -20,9 +20,8 @@ import numpy as np
 from . import dataio
 # `predict` is no longer called here; it stays importable as lpd.cli.predict,
 # the name perfbench/spans.py traces.
-from .classifier import auto_ridge, decision_scores, fit_lpd_from_moments, predict  # noqa: F401
+from .classifier import decision_scores, fit_lpd_from_moments, predict  # noqa: F401
 from .errors import DataError, LpdError, SolverError
-from .l1solver import SolverConfig
 from .model_selection import CvPlan, cross_validate, default_lambda_grid
 from .simulation import METHOD_ORDER, SimulationSpec, check_run_options, run_benchmark
 from .stats import compute_moments, t_statistic_screen, variance_filter
@@ -63,9 +62,10 @@ def _schema_args(parser):
 
 
 def _schema(args):
-    return dataio.DataFileSchema(
-        delimiter=args.delimiter, label_column=args.label_column, has_header=args.has_header
-    )
+    with _flag_values(args.command):
+        return dataio.DataFileSchema(
+            delimiter=args.delimiter, label_column=args.label_column, has_header=args.has_header
+        )
 
 
 def _positive_float(text):
@@ -77,7 +77,7 @@ def _positive_float(text):
 
 def _rho_value(text):
     if text == "auto":
-        return "auto"
+        return None
     value = float(text)
     if value < 0:
         raise argparse.ArgumentTypeError("rho must be >= 0 or 'auto'")
@@ -156,35 +156,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cross_validate(args, data, moments):
+    """CV over the default grid sized by --grid-size, with --folds and --seed."""
+    with _flag_values(args.command):
+        grid = default_lambda_grid(moments, args.grid_size)
+        plan = CvPlan(folds=args.folds, lambda_grid=grid, seed=args.seed)
+    return cross_validate(data, plan)
+
+
 def _cmd_train(args):
     data = dataio.load_dataset(args.data, _schema(args))
     moments = compute_moments(data)
-    rho = auto_ridge(moments.p, moments.n1 + moments.n2) if args.rho == "auto" else args.rho
     provenance = {
         "data": str(args.data),
         "seed": args.seed,
-        "rho_source": "auto" if args.rho == "auto" else "fixed",
+        "rho_source": "auto" if args.rho is None else "fixed",
     }
     if args.lam == "auto":
-        with _flag_values("train"):
-            grid = default_lambda_grid(moments, args.grid_size)
-            plan = CvPlan(folds=args.folds, lambda_grid=grid, seed=args.seed)
-        result = cross_validate(data, plan)
+        result = _cross_validate(args, data, moments)
         lam = result.chosen_lambda
         provenance.update(
             {
                 "lambda_source": "cv",
                 "folds": args.folds,
                 "grid_size": args.grid_size,
-                "grid_max": float(plan.lambda_grid[0]),
-                "grid_min": float(plan.lambda_grid[-1]),
+                "grid_max": float(result.lambda_grid[0]),
+                "grid_min": float(result.lambda_grid[-1]),
                 "cv_correct": int(result.per_lambda_correct()[lam]),
             }
         )
     else:
         lam = args.lam
         provenance["lambda_source"] = "fixed"
-    model = fit_lpd_from_moments(moments, lam, SolverConfig(), rho)
+    model = fit_lpd_from_moments(moments, lam, ridge_rho=args.rho)
     if args.indices is not None:
         model.kept_indices = dataio.load_indices(args.indices)
         if model.kept_indices.size != model.p:
@@ -198,7 +202,7 @@ def _cmd_train(args):
             "solver: {iterations} iterations, duality gap {duality_gap:.2e}, "
             "max residual {max_residual:.6g}".format(**model.metadata)
         )
-    print(f"wrote {args.out} (lambda={lam:g}, rho={rho:g})")
+    print(f"wrote {args.out} (lambda={lam:g}, rho={model.ridge_rho:g})")
     return 0
 
 
@@ -220,11 +224,7 @@ def _cmd_predict(args):
 
 def _cmd_cv(args):
     data = dataio.load_dataset(args.data, _schema(args))
-    moments = compute_moments(data)
-    with _flag_values("cv"):
-        grid = default_lambda_grid(moments, args.grid_size)
-        plan = CvPlan(folds=args.folds, lambda_grid=grid, seed=args.seed)
-    result = cross_validate(data, plan)
+    result = _cross_validate(args, data, compute_moments(data))
     text = dataio.save_cv_table(args.out, result)
     if args.out is None:
         sys.stdout.write(text)
@@ -286,12 +286,13 @@ def _cmd_screen(args):
         raise SystemExit_(USAGE_ERROR, "screen: nothing to do; pass variance bounds and/or --top-k")
     data = dataio.load_dataset(args.data, _schema(args))
     kept = np.arange(data.p)
-    if want_variance:
-        data, kept_v = variance_filter(data, args.var_min, args.var_max, args.scale)
-        kept = kept[kept_v]
-    if args.top_k is not None:
-        data, kept_t = t_statistic_screen(data, args.top_k)
-        kept = kept[kept_t]
+    with _flag_values("screen"):
+        if want_variance:
+            data, kept_v = variance_filter(data, args.var_min, args.var_max, args.scale)
+            kept = kept[kept_v]
+        if args.top_k is not None:
+            data, kept_t = t_statistic_screen(data, args.top_k)
+            kept = kept[kept_t]
     dataio.save_dataset(args.out, data, _schema(args))
     if args.indices_out:
         dataio.save_indices(args.indices_out, kept)

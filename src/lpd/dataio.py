@@ -33,6 +33,10 @@ class DataFileSchema:
     label_column: int = 0
     has_header: bool = False
 
+    def __post_init__(self):
+        if len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
+
 
 def fmt_float(x) -> str:
     """17-significant-digit decimal form; lossless for binary64 round trips."""
@@ -273,7 +277,8 @@ def save_indices(path, kept_indices):
 
 def load_indices(path) -> np.ndarray:
     """Read an index map written by :func:`save_indices`; returns the
-    original-column ids in screened-column order."""
+    original-column ids in screened-column order, which must be >= 0 and
+    strictly increasing."""
     pairs = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -288,4 +293,8 @@ def load_indices(path) -> np.ndarray:
         raise ParseError(f"{path}: no index rows")
     if [new for new, _ in pairs] != list(range(len(pairs))):
         raise ParseError(f"{path}: screened columns must be 0..{len(pairs) - 1} in order")
-    return np.asarray([orig for _, orig in pairs], dtype=int)
+    original = np.asarray([orig for _, orig in pairs], dtype=int)
+    bad = np.flatnonzero(np.diff(original, prepend=-1) <= 0)
+    if bad.size:
+        raise ParseError(f"{path}: row {bad[0] + 2}: original columns must be >= 0 and increasing")
+    return original

@@ -58,6 +58,8 @@ _REFINE_STEPS = 3
 # Coefficients at or below this magnitude are interior-point noise around an
 # exact zero; the dual normalization keeps the scale absolute.
 ZERO_FLOOR = 1e-7
+# The support is the coefficients above this fraction of max |beta_i|.
+SUPPORT_EPS = 1e-3
 
 
 @dataclass
@@ -107,10 +109,9 @@ class SolverConfig:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 100
-    support_eps: float = 1e-3
 
     def __post_init__(self):
-        for name in ("gap_tol", "feas_tol", "max_iter", "support_eps"):
+        for name in ("gap_tol", "feas_tol", "max_iter"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -462,26 +463,24 @@ def solve(problem: LpProblem, config: SolverConfig | None = None) -> LpSolution:
     return _solution(sf, beta, iterations, float(gap_rel), status, factor is not None, fallbacks)
 
 
-def support(solution: LpSolution, config: SolverConfig | None = None) -> np.ndarray:
-    """Indices j with |beta_j| > support_eps * max_i |beta_i| (0-based, sorted).
+def support(solution: LpSolution) -> np.ndarray:
+    """Indices j with |beta_j| > SUPPORT_EPS * max_i |beta_i| (0-based, sorted).
 
     Relative thresholding because interior-point iterates are never exactly
     zero. A numerically zero beta (every entry within the solver's gap-level
     noise, which sits in absolute units because the dual normalizes the
     objective block) yields the empty set.
     """
-    if config is None:
-        config = SolverConfig()
     if solution.status != OPTIMAL:
         raise ValueError(f"support requires an optimal solution, got {solution.status!r}")
-    return np.flatnonzero(support_mask(solution.beta, config.support_eps))
+    return np.flatnonzero(support_mask(solution.beta))
 
 
-def support_mask(beta, support_eps) -> np.ndarray:
-    """Boolean mask of |beta_j| > support_eps * max_i |beta_i|; all False when
+def support_mask(beta) -> np.ndarray:
+    """Boolean mask of |beta_j| > SUPPORT_EPS * max_i |beta_i|; all False when
     max |beta| <= ZERO_FLOOR. The one support threshold of the package."""
     mags = np.abs(beta)
     top = mags.max() if mags.size else 0.0
     if top <= ZERO_FLOOR:
         return np.zeros(mags.size, dtype=bool)
-    return mags > support_eps * top
+    return mags > SUPPORT_EPS * top

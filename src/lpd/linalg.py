@@ -20,6 +20,8 @@ from scipy.linalg import lapack
 from .errors import DimensionMismatch, NonConvergence, NotPositiveDefinite
 
 SYMMETRY_RTOL = 1e-10
+# pseudo_inverse treats eigenvalues with |w_i| <= RANK_TOL * max|w| as zero.
+RANK_TOL = 1e-10
 
 
 def as_matrix(a, name="matrix"):
@@ -42,13 +44,13 @@ def as_vector(a, name="vector"):
     return v
 
 
-def check_symmetric(a, name="matrix", rtol=SYMMETRY_RTOL):
-    """Validate symmetry within rtol * max|A| and return the symmetrized array."""
+def check_symmetric(a, name="matrix"):
+    """Validate symmetry within SYMMETRY_RTOL * max|A| and return the symmetrized array."""
     m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
     scale = np.abs(m).max()
-    if np.abs(m - m.T).max() > rtol * max(scale, 1e-300):
+    if np.abs(m - m.T).max() > SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(f"{name} is not symmetric within tolerance")
     return 0.5 * (m + m.T)
 
@@ -107,15 +109,13 @@ def sym_eigen(a):
     return w[order], v[:, order]
 
 
-def pseudo_inverse(a, rank_tol=1e-10):
+def pseudo_inverse(a):
     """Moore-Penrose pseudo-inverse of a symmetric matrix.
 
-    Eigenvalues with |w_i| <= rank_tol * max|w| are treated as zero.
-    rank_tol matters for near-singular pooled covariances, so it is a
-    parameter rather than a constant.
+    Eigenvalues with |w_i| <= RANK_TOL * max|w| are treated as zero.
     """
     w, v = sym_eigen(a)
-    cutoff = rank_tol * np.abs(w).max() if w.size else 0.0
+    cutoff = RANK_TOL * np.abs(w).max() if w.size else 0.0
     inv = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > cutoff)
     return (v * inv) @ v.T
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .classifier import fit_lpd_from_moments, predict
 from .errors import DegenerateDelta, SolverError, SolverFailure, TooFewSamplesPerClass
-from .l1solver import SolverConfig
 from .stats import LabeledDataset, TwoSampleMoments, compute_moments
 
 
@@ -76,11 +75,7 @@ def make_folds(data: LabeledDataset, n_folds: int, seed: int) -> np.ndarray:
     return fold_ids
 
 
-def cross_validate(
-    data: LabeledDataset,
-    plan: CvPlan,
-    config: SolverConfig | None = None,
-) -> CvResult:
+def cross_validate(data: LabeledDataset, plan: CvPlan) -> CvResult:
     """Count correct validation classifications for every lambda in the grid.
 
     A solver failure at any (fold, lambda) marks that lambda ineligible for
@@ -97,7 +92,7 @@ def cross_validate(
         moments = compute_moments(train)
         for j, lam in enumerate(grid):
             try:
-                model = fit_lpd_from_moments(moments, float(lam), config)
+                model = fit_lpd_from_moments(moments, float(lam))
             except SolverError as exc:
                 failures.setdefault(j, []).append((fold, str(exc)))
                 continue

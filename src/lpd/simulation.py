@@ -36,7 +36,7 @@ from .classifier import (
     predict,
 )
 from .errors import DimensionMismatch, LpdError, SolverError, SolverFailure, ZeroBeta
-from .l1solver import SolverConfig, support_mask
+from .l1solver import support_mask
 from .model_selection import CvPlan, cross_validate, default_lambda_grid
 from .stats import LabeledDataset, compute_moments
 
@@ -227,10 +227,10 @@ def conditional_rate(truth: GroundTruth, model: LpdModel) -> float:
     return float(1.0 - 0.5 * term1 - 0.5 * term2)
 
 
-def support_metrics(beta_hat, beta_star, support_eps=1e-3) -> SupportMetrics:
+def support_metrics(beta_hat, beta_star) -> SupportMetrics:
     """POS / TPOS / TPR / FPR of the declared support.
 
-    The estimate's support is thresholded at support_eps * max|beta_hat|
+    The estimate's support is thresholded at l1solver.SUPPORT_EPS * max|beta_hat|
     (interior-point output is never exactly zero); the reference support is
     exact nonzeros (|.| > 1e-10). Rates with an empty denominator are NaN.
     """
@@ -238,7 +238,7 @@ def support_metrics(beta_hat, beta_star, support_eps=1e-3) -> SupportMetrics:
     beta_star = linalg.as_vector(beta_star, "beta_star")
     if beta_hat.size != beta_star.size:
         raise DimensionMismatch("beta_hat and beta_star must have equal length")
-    declared = support_mask(beta_hat, support_eps)
+    declared = support_mask(beta_hat)
     true = np.abs(beta_star) > 1e-10
     pos = int(declared.sum())
     tpos = int((declared & true).sum())
@@ -339,7 +339,7 @@ def _true_support(truth) -> np.ndarray:
     return np.flatnonzero(truth.mu1 - truth.mu2 != 0.0)
 
 
-def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size, fixed_grid, config):
+def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size, fixed_grid):
     rng = np.random.default_rng(seed_seq)
     truth = build_model(spec, rng)
     train = sample(truth, spec, rng)
@@ -352,12 +352,12 @@ def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size, fixed_gr
         moments = compute_moments(train)
         grid = fixed_grid if fixed_grid is not None else default_lambda_grid(moments, grid_size)
         plan = CvPlan(folds=cv_folds, lambda_grid=grid, seed=fold_seed)
-        cv = cross_validate(train, plan, config)
+        cv = cross_validate(train, plan)
         test_errors = {}
         chosen_model = None
         for lam in plan.lambda_grid:
             try:
-                model = fit_lpd_from_moments(moments, float(lam), config)
+                model = fit_lpd_from_moments(moments, float(lam))
             except SolverError as exc:
                 # as in cross_validate, a failed lambda is skipped; only the chosen one is needed
                 if float(lam) == cv.chosen_lambda:
@@ -371,9 +371,7 @@ def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size, fixed_gr
         record.lambda_opt = min(l for l, e in test_errors.items() if e == best_err)
         record.lambda_hat = cv.chosen_lambda
         record.errors["lpd"] = test_errors[cv.chosen_lambda]
-        record.support = support_metrics(
-            chosen_model.beta, truth.beta_star, (config or SolverConfig()).support_eps
-        )
+        record.support = support_metrics(chosen_model.beta, truth.beta_star)
         record.conditional_rate = conditional_rate(truth, chosen_model)
 
     if "naive_bayes" in methods:
@@ -413,7 +411,6 @@ def run_benchmark(
     cv_plan: CvPlan | None = None,
     cv_folds: int = 5,
     grid_size: int = 20,
-    config: SolverConfig | None = None,
     max_workers: int = 1,
 ) -> EvalReport:
     """Replicated train/test comparison of the requested methods.
@@ -450,7 +447,7 @@ def run_benchmark(
     with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
         futures = [
             pool.submit(_run_replication, spec, methods, streams[rep], rep, cv_folds,
-                        grid_size, fixed_grid, config)
+                        grid_size, fixed_grid)
             for rep in range(spec.reps)
         ]
     for rep, future in enumerate(futures):

@@ -84,6 +84,12 @@ class TestPredict:
         # already-reduced input is accepted unchanged
         assert decision_scores(model, np.array([1.0, 1.0])) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("ids", [[1, 0], [-1, 2], [2, 2]])
+    def test_kept_indices_must_be_nonnegative_and_increasing(self, ids):
+        """With [1, 0], a reduced row [10, 1] and a full row [10, 1, 0] would score differently."""
+        with pytest.raises(ValueError, match="kept_indices"):
+            LpdModel(beta=[1.0, 2.0], mu_hat=[0.0, 0.0], kept_indices=ids)
+
     def test_dimension_mismatch(self):
         model = LpdModel(beta=[1.0, 2.0], mu_hat=[0.0, 0.0])
         with pytest.raises(DimensionMismatch):

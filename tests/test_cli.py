@@ -270,6 +270,43 @@ class TestScreen:
         write_toy_1d(data)
         assert main(["screen", "--data", str(data), "--out", str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--var-min", "2", "--var-max", "1"], "var_min (2.0) must be < var_max (1.0)"),
+        (["--var-min", "0", "--var-max", "1", "--scale", "-1"], "scale must be positive"),
+        (["--top-k", "0"], "top_k must be >= 1"),
+    ])
+    def test_screen_flag_values_are_usage_errors(self, tmp_path, capsys, flags, message):
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0))
+        out = tmp_path / "o.csv"
+        assert main(["screen", "--data", str(data), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"lpd screen: error: {message}\n"
+        assert not out.exists()
+
+    def test_negative_index_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0), p=2)
+        idx = tmp_path / "kept.csv"
+        idx.write_text("column,original_column\n0,-1\n1,3\n")
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--lambda", "0.5", "--indices", str(idx),
+                     "--out", str(out)]) == 2
+        assert "kept.csv: row 2: original column" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unordered_model_indices_are_data_error(self, tmp_path, capsys):
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0), p=2)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--lambda", "0.5", "--out", str(model)]) == 0
+        text = model.read_text().replace('"kept_indices": null', '"kept_indices": [1, 0]')
+        model.write_text(text)
+        preds = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(model), "--data", str(data), "--has-labels",
+                     "--out", str(preds)]) == 2
+        assert "kept_indices[1]" in capsys.readouterr().err
+        assert not preds.exists()
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -370,6 +407,24 @@ class TestExitCodes:
                 "--out", str(tmp_path / "r.csv")]
         with pytest.raises(ValueError, match="broken replication"):
             main(argv)
+
+    @pytest.mark.parametrize("command", ["train", "cv", "predict", "screen"])
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_must_be_one_character(self, tmp_path, capsys, command, delimiter):
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0))
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--lambda", "0.5", "--out", str(model)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        extra = {"train": [], "cv": [], "predict": ["--model", str(model)],
+                 "screen": ["--top-k", "1"]}[command]
+        argv = [command, "--data", str(data), *extra, "--delimiter", delimiter, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"lpd {command}: error: delimiter must be one character, got {delimiter!r}\n"
+        )
+        assert not out.exists()
 
     def test_thread_cap_clamped_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)

@@ -194,6 +194,16 @@ class TestModelPersistence:
         with pytest.raises(SchemaVersionMismatch):
             load_model(path)
 
+    @pytest.mark.parametrize("ids, position", [("[-1, 4, 9]", 0), ("[0, 9, 4]", 2),
+                                               ("[0, 4, 4]", 2)])
+    def test_unordered_kept_indices_rejected(self, tmp_path, ids, position):
+        path = tmp_path / "m.json"
+        save_model(path, self.model())
+        path.write_text(path.read_text().replace('"kept_indices": [0, 4, 9]',
+                                                 f'"kept_indices": {ids}'))
+        with pytest.raises(ParseError, match=rf"kept_indices\[{position}\]"):
+            load_model(path)
+
     def test_no_kept_indices_round_trip(self, tmp_path):
         model = LpdModel(beta=[1.0], mu_hat=[0.0])
         path = tmp_path / "m.json"
@@ -215,6 +225,19 @@ class TestIndexMaps:
         path = tmp_path / "idx.csv"
         path.write_text("column,original_column\n1,7\n0,2\n")
         with pytest.raises(ParseError):
+            load_indices(path)
+
+    @pytest.mark.parametrize("rows, bad_row", [
+        ("0,-1\n1,3\n", 2),
+        ("0,2\n1,2\n", 3),
+        ("0,7\n1,2\n", 3),
+    ])
+    def test_original_ids_must_be_nonnegative_and_increasing(self, tmp_path, rows, bad_row):
+        from lpd.dataio import load_indices
+
+        path = tmp_path / "idx.csv"
+        path.write_text("column,original_column\n" + rows)
+        with pytest.raises(ParseError, match=f"row {bad_row}: original column"):
             load_indices(path)
 
 
