@@ -33,7 +33,7 @@ class LpdModel:
     ``kept_indices`` maps the model's coordinates back to original feature
     ids when the model was fit on a screened dataset; predictions then
     accept full-width inputs and select the kept columns. The ids must be
-    >= 0 and strictly increasing, so a row scores the same at either width.
+    integers >= 0, strictly increasing, so a row scores the same at either width.
     """
 
     beta: np.ndarray
@@ -52,7 +52,11 @@ class LpdModel:
         if not math.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
         if self.kept_indices is not None:
-            self.kept_indices = np.asarray(self.kept_indices, dtype=int)
+            ids = list(self.kept_indices)
+            for i, v in enumerate(ids):
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise ValueError(f"kept_indices[{i}] is not an integer: {v!r}")
+            self.kept_indices = np.asarray(ids, dtype=int)
             bad = np.flatnonzero(np.diff(self.kept_indices, prepend=-1) <= 0)
             if bad.size:
                 raise ValueError(f"kept_indices[{bad[0]}] is negative or not above the one before")

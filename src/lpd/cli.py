@@ -34,14 +34,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_(USAGE_ERROR, f"{self.prog}: error: {message}")
-
-
-class SystemExit_(Exception):
-    def __init__(self, code, message=None):
-        super().__init__(message or "")
-        self.code = code
-        self.message = message
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
 @contextlib.contextmanager
@@ -50,7 +43,8 @@ def _flag_values(command):
     try:
         yield
     except ValueError as exc:
-        raise SystemExit_(USAGE_ERROR, f"lpd {command}: error: {exc}") from None
+        print(f"lpd {command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR) from None
 
 
 def _schema_args(parser):
@@ -243,7 +237,7 @@ def _max_workers():
     except ValueError:
         value = 0
     if value < 1:
-        raise SystemExit_(USAGE_ERROR, f"lpd: LPD_THREADS must be a positive integer, got {raw!r}")
+        raise ValueError(f"LPD_THREADS must be a positive integer, got {raw!r}")
     return min(value, os.cpu_count() or 1)
 
 
@@ -263,12 +257,10 @@ def _cmd_simulate(args):
         methods = check_run_options(
             [m.strip() for m in args.methods.split(",") if m.strip()], args.folds, args.grid_size
         )
+        max_workers = _max_workers()
     report = run_benchmark(
-        spec,
-        methods=methods,
-        cv_folds=args.folds,
-        grid_size=args.grid_size,
-        max_workers=_max_workers(),
+        spec, methods=methods, cv_folds=args.folds, grid_size=args.grid_size,
+        max_workers=max_workers,
     )
     dataio.save_report(args.out, report)
     summary = ", ".join(
@@ -280,10 +272,11 @@ def _cmd_simulate(args):
 
 def _cmd_screen(args):
     want_variance = args.var_min is not None or args.var_max is not None
-    if want_variance and (args.var_min is None or args.var_max is None):
-        raise SystemExit_(USAGE_ERROR, "screen: --var-min and --var-max go together")
-    if not want_variance and args.top_k is None:
-        raise SystemExit_(USAGE_ERROR, "screen: nothing to do; pass variance bounds and/or --top-k")
+    with _flag_values("screen"):
+        if want_variance and (args.var_min is None or args.var_max is None):
+            raise ValueError("--var-min and --var-max go together")
+        if not want_variance and args.top_k is None:
+            raise ValueError("nothing to do; pass variance bounds and/or --top-k")
     data = dataio.load_dataset(args.data, _schema(args))
     kept = np.arange(data.p)
     with _flag_values("screen"):
@@ -314,12 +307,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except SystemExit as exc:  # argparse --help
+    except SystemExit as exc:  # --help, or a usage error already reported on stderr
         return int(exc.code or 0)
-    except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
     except SolverError as exc:
         print(f"lpd: solver failure: {exc}", file=sys.stderr)
         return SOLVER_ERROR

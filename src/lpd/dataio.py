@@ -185,7 +185,7 @@ def save_model(path, model: LpdModel):
         ("threshold", float(model.threshold)),
         ("lambda", float(model.lam)),
         ("ridge_rho", float(model.ridge_rho)),
-        ("kept_indices", None if model.kept_indices is None else model.kept_indices),
+        ("kept_indices", model.kept_indices),
         ("provenance", model.metadata or {}),
     ]
     lines = ["{"]
@@ -220,7 +220,7 @@ def load_model(path) -> LpdModel:
             threshold=float(doc["threshold"]),
             lam=float(doc["lambda"]),
             ridge_rho=float(doc["ridge_rho"]),
-            kept_indices=None if doc.get("kept_indices") is None else np.asarray(doc["kept_indices"], dtype=int),
+            kept_indices=doc.get("kept_indices"),
             metadata=dict(doc.get("provenance") or {}),
         )
     except (KeyError, TypeError, ValueError) as exc:

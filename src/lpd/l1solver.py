@@ -60,6 +60,8 @@ _REFINE_STEPS = 3
 ZERO_FLOOR = 1e-7
 # The support is the coefficients above this fraction of max |beta_i|.
 SUPPORT_EPS = 1e-3
+# Scaled primal and dual residual bound an optimal iterate must meet.
+FEAS_TOL = 1e-8
 
 
 @dataclass
@@ -107,11 +109,10 @@ class SolverConfig:
     """Interior-point tolerances; all must be positive."""
 
     gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
     max_iter: int = 100
 
     def __post_init__(self):
-        for name in ("gap_tol", "feas_tol", "max_iter"):
+        for name in ("gap_tol", "max_iter"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -352,7 +353,7 @@ def solve(problem: LpProblem, config: SolverConfig | None = None) -> LpSolution:
     """Solve the constrained l1 program by the primal-dual interior-point method.
 
     Returns a solution whose status is ``optimal`` only when primal and dual
-    feasibility hold within feas_tol, the relative complementarity gap is
+    feasibility hold within FEAS_TOL, the relative complementarity gap is
     below gap_tol, and the constraint residual certifies
     ||A_rho beta - b||_inf <= lam * (1 + 1e-6) + 1e-8. Raises
     InfeasibleProblem when ridge_rho = 0, A is singular, and the least-norm
@@ -405,9 +406,8 @@ def solve(problem: LpProblem, config: SolverConfig | None = None) -> LpSolution:
         # the cheap gap test first: the residual norms are only needed near the end
         if (
             gap_rel <= config.gap_tol
-            and float(np.abs(rp).max()) / h_scale <= config.feas_tol
-            and max(float(np.abs(rd_beta).max()), float(np.abs(rd_u).max())) / 2.0
-            <= config.feas_tol
+            and float(np.abs(rp).max()) / h_scale <= FEAS_TOL
+            and max(float(np.abs(rd_beta).max()), float(np.abs(rd_u).max())) / 2.0 <= FEAS_TOL
             and float(np.abs(ab - sf.b).max()) <= resid_cert
         ):
             status = OPTIMAL

@@ -387,20 +387,20 @@ def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size, fixed_gr
     return record
 
 
-def check_run_options(methods, cv_folds=None, grid_size=None) -> tuple:
+def check_run_options(methods, cv_folds, grid_size) -> tuple:
     """The method names, lower-cased, after checking the options of
     :func:`run_benchmark` that only the replications would otherwise reach.
 
     Raises ValueError for an unknown method, fewer than 2 folds or a grid of
-    fewer than 2 lambdas; a None option is not checked.
+    fewer than 2 lambdas.
     """
     methods = tuple(m.lower() for m in methods)
     unknown = sorted(set(methods) - set(METHOD_ORDER))
     if unknown:
         raise ValueError(f"unknown methods: {unknown}; choose from {METHOD_ORDER}")
-    if cv_folds is not None and cv_folds < 2:
+    if cv_folds < 2:
         raise ValueError("folds must be >= 2")
-    if grid_size is not None and grid_size < 2:
+    if grid_size < 2:
         raise ValueError("size must be >= 2")
     return methods
 
@@ -433,12 +433,9 @@ def run_benchmark(
     :class:`SolverFailure` is raised.
     """
     fixed_grid = None
-    if cv_plan is None:
-        methods = check_run_options(methods, cv_folds, grid_size)
-    else:
-        methods = check_run_options(methods)
-        cv_folds = cv_plan.folds
-        fixed_grid = cv_plan.lambda_grid
+    if cv_plan is not None:
+        cv_folds, fixed_grid = cv_plan.folds, cv_plan.lambda_grid
+    methods = check_run_options(methods, cv_folds, grid_size)
 
     streams = np.random.SeedSequence(spec.seed).spawn(spec.reps)
     records: list = []

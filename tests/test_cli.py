@@ -271,6 +271,19 @@ class TestScreen:
         assert main(["screen", "--data", str(data), "--out", str(tmp_path / "o.csv")]) == 1
 
     @pytest.mark.parametrize("flags, message", [
+        (["--var-min", "1"], "--var-min and --var-max go together"),
+        (["--var-max", "1", "--top-k", "1"], "--var-min and --var-max go together"),
+        ([], "nothing to do; pass variance bounds and/or --top-k"),
+    ])
+    def test_screen_action_errors_are_one_line(self, tmp_path, capsys, flags, message):
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0))
+        out = tmp_path / "o.csv"
+        assert main(["screen", "--data", str(data), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"lpd screen: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
         (["--var-min", "2", "--var-max", "1"], "var_min (2.0) must be < var_max (1.0)"),
         (["--var-min", "0", "--var-max", "1", "--scale", "-1"], "scale must be positive"),
         (["--top-k", "0"], "top_k must be >= 1"),
@@ -294,6 +307,36 @@ class TestScreen:
         assert "kept.csv: row 2: original column" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_index_map_of_other_length_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0), p=2)
+        idx = tmp_path / "kept.csv"
+        idx.write_text("column,original_column\n0,1\n1,3\n2,4\n")
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--lambda", "0.5", "--indices", str(idx),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"lpd: data error: {idx}: 3 indices but the model has 2 features\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ids, position", [
+        ("[0.7, 1.7]", 0), ("[0, 1.0]", 1), ('["0", 1]', 0), ("[true, 3]", 0),
+    ])
+    def test_non_integer_model_indices_are_data_error(self, tmp_path, capsys, ids, position):
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0), p=2)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--lambda", "0.5", "--out", str(model)]) == 0
+        model.write_text(model.read_text().replace('"kept_indices": null',
+                                                   f'"kept_indices": {ids}'))
+        preds = tmp_path / "preds.csv"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--data", str(data), "--has-labels",
+                     "--out", str(preds)]) == 2
+        assert f"kept_indices[{position}] is not an integer" in capsys.readouterr().err
+        assert not preds.exists()
+
     def test_unordered_model_indices_are_data_error(self, tmp_path, capsys):
         data = tmp_path / "sep.csv"
         write_separable(data, np.random.default_rng(0), p=2)
@@ -312,8 +355,23 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["train", "--nope"]) == 1
 
+    def test_argparse_error_keeps_usage_line(self, capsys):
+        assert main(["train", "--data", "d.csv", "--out", "m.json", "--folds", "z"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: lpd train ")
+        assert lines[-1] == "lpd train: error: argument --folds: invalid int value: 'z'"
+
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+    def test_missing_label_column_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0), p=3)
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--label-column", "9", "--lambda", "0.5",
+                     "--out", str(out)]) == 2
+        assert "has no label column 9" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(
@@ -352,6 +410,16 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "LPD_THREADS" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_thread_cap_message_is_one_line(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("LPD_THREADS", value)
+        argv = ["simulate", "--model-id", "1", "--p", "10", "--reps", "1",
+                "--methods", "oracle", "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"lpd simulate: error: LPD_THREADS must be a positive integer, got {value!r}\n"
+        )
 
     def test_simulate_s0_above_p_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpd import l1solver, linalg
-from lpd.errors import DimensionMismatch
-from lpd.l1solver import OPTIMAL, LpProblem, solve
+from lpd.errors import DimensionMismatch, NotPositiveDefinite
+from lpd.l1solver import NUMERICAL_FAILURE, OPTIMAL, LpProblem, solve
 from lpd.stats import LabeledDataset, compute_moments
 
 from oracles import l1_oracle
@@ -169,6 +169,23 @@ class TestFallback:
         assert wrong.low_rank
         assert wrong.fallbacks == wrong.iterations == dense.iterations
         assert wrong.beta.tobytes() == dense.beta.tobytes()
+
+    @pytest.mark.parametrize("path, fallbacks", [("dense", 0), ("low_rank", 1)])
+    def test_dense_factor_rejected_at_every_level_is_numerical_failure(self, monkeypatch,
+                                                                      path, fallbacks):
+        """The dense factor fails every jitter level: the dense path stops in its first
+        iteration; the low-rank path, given a wrong factor, stops at its first fallback."""
+        def rejected(a_rho, w, dd):
+            raise NotPositiveDefinite("Newton matrix rejected at every jitter level")
+
+        monkeypatch.setattr(l1solver, "_dense_newton_factor", rejected)
+        sigma, factor, b, rho = wide_sample(5, 30, 8)
+        lam = 0.3 * float(np.abs(b).max())
+        sol = solve(problem(path, sigma, 10.0 * factor, b, lam, rho))
+        assert sol.status == NUMERICAL_FAILURE
+        assert sol.low_rank == (path == "low_rank")
+        assert sol.fallbacks == fallbacks
+        assert sol.iterations == 0
 
 
 class TestPathChoice:
