@@ -32,8 +32,9 @@ class LpdModel:
 
     ``kept_indices`` maps the model's coordinates back to original feature
     ids when the model was fit on a screened dataset; predictions then
-    accept full-width inputs and select the kept columns. The ids must be
-    integers >= 0, strictly increasing, so a row scores the same at either width.
+    accept full-width inputs and select the kept columns. There must be one
+    id per coordinate, and the ids must be integers >= 0, strictly
+    increasing, so a row scores the same at either width.
     """
 
     beta: np.ndarray
@@ -56,6 +57,8 @@ class LpdModel:
             for i, v in enumerate(ids):
                 if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                     raise ValueError(f"kept_indices[{i}] is not an integer: {v!r}")
+            if len(ids) != self.beta.size:
+                raise ValueError(f"kept_indices has {len(ids)} ids for {self.beta.size} features")
             self.kept_indices = np.asarray(ids, dtype=int)
             bad = np.flatnonzero(np.diff(self.kept_indices, prepend=-1) <= 0)
             if bad.size:

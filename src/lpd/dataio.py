@@ -8,11 +8,13 @@ output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,35 +58,74 @@ def _atomic_write(path, text):
         raise
 
 
-def _cell_error(path, lineno, row, label_column):
-    """The typed error for the first unreadable or non-finite cell of a row."""
-    for col, cell in enumerate(row):
-        if col == label_column:
-            continue
-        try:
-            value = float(cell)
-        except ValueError:
-            return ParseError(f"{path}: row {lineno}, column {col}: not a number: {cell!r}")
-        if not math.isfinite(value):
-            return NonFiniteValue(f"{path}: row {lineno}, column {col}: non-finite value {cell!r}")
-    raise AssertionError(f"{path}: row {lineno} parsed by numpy but not by float()")
+def _cell_value(path, lineno, col, cell):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ParseError(f"{path}: row {lineno}, column {col}: not a number: {cell!r}") from None
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"{path}: row {lineno}, column {col}: non-finite value {cell!r}")
+    return value
+
+
+@contextlib.contextmanager
+def _utf8(path):
+    """Report bytes that do not decode as UTF-8 as a ParseError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParseError(f"{path}: not UTF-8 text (byte 0x{byte:02x} cannot be decoded)") from None
 
 
 def _read_rows(path, schema: DataFileSchema, label_column):
-    """Parse a delimited dataset file into a float64 feature matrix.
+    """Parse a delimited dataset file into (features, label ids, label names).
 
     Blank lines are skipped; with ``schema.has_header`` line 1 is the
     header. The first row, header included, fixes the width. When
     ``label_column`` is not None that column is taken out of every row and
-    its stripped text returned in file order. Errors name the file line
-    and the original column. Rows go straight into one matrix sized by the
-    line count and shrunk in place, so no per-row buffers are left to free.
+    its stripped text mapped to ids 1, 2, ... in first-seen order. A file
+    one ``np.loadtxt`` pass does not read as it stands goes to
+    :func:`_exact_rows`, which names the error or reads what only ``float``
+    accepts (``1_0``); both round decimals alike, so the arrays agree.
     """
-    with open(path, "rb") as raw:  # line terminators + 1 bound the records
+    try:
+        rows = _loadtxt_rows(path, schema, label_column)
+    except ValueError:
+        rows = None
+    return rows or _exact_rows(path, schema, label_column)
+
+
+def _loadtxt_rows(path, schema: DataFileSchema, label_column):
+    """:func:`_read_rows` by numpy's C parser, or None where the exact reader must decide."""
+    if label_column is not None and label_column < 0:
+        return None
+    with open(path, "rb") as raw:  # numpy strips these bytes around a number; float() does not
         chunks = iter(lambda: raw.read(1 << 20), b"")
-        bound = 1 + sum(c.count(b"\n") + c.count(b"\r") for c in chunks)
-    out, n, width, labels = None, 0, None, []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+        if any(c in chunk for chunk in chunks for c in b"\x1c\x1d\x1e\x1f"):
+            return None
+    names: dict[str, int] = {}
+    # Not `usecols`: it accepts a row with an extra field. The label column is dropped below.
+    converters = {} if label_column is None else {
+        label_column: lambda text: names.setdefault(text.strip(), len(names) + 1)}
+    # numpy reads the lines of an open file as csv does; given a path it
+    # would decompress by file extension and fetch URLs.
+    with open(path, "r", encoding="utf-8", newline="") as handle, warnings.catch_warnings():
+        header = next(csv.reader(handle, delimiter=schema.delimiter), []) if schema.has_header else []
+        warnings.simplefilter("ignore", UserWarning)  # no data: checked below
+        out = np.loadtxt(handle, delimiter=schema.delimiter, comments=None, quotechar='"',
+                         ndmin=2, converters=converters)
+    if not out.size or (header and len(header) != out.shape[1]) or not np.isfinite(out).all():
+        return None
+    if label_column is None:
+        return out, np.empty(0, dtype=int), ()
+    return np.delete(out, label_column, axis=1), out[:, label_column].astype(int), tuple(names)
+
+
+def _exact_rows(path, schema: DataFileSchema, label_column):
+    """:func:`_read_rows` by csv and ``float``; errors name the line and original column."""
+    rows, labels, names, width = [], [], {}, None
+    with open(path, "r", encoding="utf-8", newline="") as handle, _utf8(path):
         for lineno, row in enumerate(csv.reader(handle, delimiter=schema.delimiter), start=1):
             if not row:
                 continue
@@ -94,25 +135,15 @@ def _read_rows(path, schema: DataFileSchema, label_column):
                     continue
             elif len(row) != width:
                 raise RaggedRows(f"{path}: row {lineno} has {len(row)} fields, expected {width}")
-            cells = row
             if label_column is not None:
                 if not 0 <= label_column < len(row):
                     raise ParseError(f"{path}: row {lineno} has no label column {label_column}")
-                labels.append(row[label_column].strip())
-                cells = row[:label_column] + row[label_column + 1 :]
-            if out is None:
-                out = np.empty((bound, len(cells)))
-            try:
-                out[n] = cells
-            except ValueError:
-                raise _cell_error(path, lineno, row, label_column) from None
-            if not np.isfinite(out[n]).all():
-                raise _cell_error(path, lineno, row, label_column)
-            n += 1
-    if not n:
+                labels.append(names.setdefault(row[label_column].strip(), len(names) + 1))
+            rows.append([_cell_value(path, lineno, col, cell)
+                         for col, cell in enumerate(row) if col != label_column])
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    out.resize((n, out.shape[1]), refcheck=False)
-    return out, labels
+    return np.array(rows), np.asarray(labels, dtype=int), tuple(names)
 
 
 def load_dataset(path, schema: DataFileSchema | None = None) -> LabeledDataset:
@@ -124,18 +155,14 @@ def load_dataset(path, schema: DataFileSchema | None = None) -> LabeledDataset:
     values are rejected with the offending row named.
     """
     schema = schema or DataFileSchema()
-    features, raw_labels = _read_rows(path, schema, schema.label_column)
-    label_ids: dict[str, int] = {}
-    labels = [label_ids.setdefault(raw, len(label_ids) + 1) for raw in raw_labels]
-    return LabeledDataset(features, np.asarray(labels), tuple(label_ids))
+    return LabeledDataset(*_read_rows(path, schema, schema.label_column))
 
 
 def load_features(path, schema: DataFileSchema | None = None) -> np.ndarray:
     """Read a features-only delimited file (no label column) as an (n, p)
     float64 array, under the same rules and errors as :func:`load_dataset`;
     ``schema.label_column`` is ignored."""
-    features, _ = _read_rows(path, schema or DataFileSchema(), None)
-    return features
+    return _read_rows(path, schema or DataFileSchema(), None)[0]
 
 
 def save_dataset(path, dataset: LabeledDataset, schema: DataFileSchema | None = None):
@@ -198,7 +225,7 @@ def save_model(path, model: LpdModel):
 
 def load_model(path) -> LpdModel:
     """Read a model file; unknown schema versions are rejected explicitly."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle, _utf8(path):
         text = handle.read()
     try:
         doc = json.loads(text)
@@ -280,7 +307,7 @@ def load_indices(path) -> np.ndarray:
     original-column ids in screened-column order, which must be >= 0 and
     strictly increasing."""
     pairs = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle, _utf8(path):
         reader = csv.reader(handle)
         for lineno, row in enumerate(reader, start=1):
             if lineno == 1:

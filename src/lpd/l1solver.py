@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import (
@@ -303,9 +302,7 @@ class _NewtonSystem:
         capacitance = self._apply_c(scaled.T @ scaled)
         _diagonal(capacitance)[:] += 1.0
         if np.all(np.isfinite(capacitance)):
-            lu, piv, info = scipy.linalg.lapack.dgetrf(capacitance)
-            if info == 0:
-                self.lu = (lu, piv)
+            self.lu = linalg.lu_factor(capacitance)
 
     @property
     def fell_back(self) -> bool:
@@ -323,7 +320,7 @@ class _NewtonSystem:
 
     def _woodbury(self, r):
         y = r / self.g
-        t, _ = scipy.linalg.lapack.dgetrs(*self.lu, self._apply_c(self.v.T @ y))
+        t = linalg.lu_solve(self.lu, self._apply_c(self.v.T @ y))
         return y - (self.v @ t) / self.g
 
     def _checked_woodbury(self, r):

@@ -3,10 +3,11 @@
 Matrices and vectors are plain float64 numpy arrays. Factorizations are
 delegated to LAPACK (via numpy/scipy); this module owns the validation,
 the error mapping, and the spectral pseudo-inverse built on top.
-spd_factor and spd_solve call LAPACK's dpotrf and dpotrs directly:
-scipy.linalg.cho_factor and cho_solve reach the same routines through
-Python layers that cost more than the factorization itself on the small
-matrices the interior-point solver factors at every iteration.
+Every LAPACK call in the package is made here, directly: scipy.linalg's
+cho_factor and cho_solve reach dpotrf and dpotrs through Python layers that
+cost more than the factorization itself on the small matrices the
+interior-point solver factors at every iteration. SciPy is imported on the
+first call, so commands that factor nothing (predict, screen) never load it.
 
 All tolerances are relative to the matrix max-norm so the checks are
 scale-free.
@@ -15,7 +16,6 @@ scale-free.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NonConvergence, NotPositiveDefinite
 
@@ -55,6 +55,12 @@ def check_symmetric(a, name="matrix"):
     return 0.5 * (m + m.T)
 
 
+def _lapack():
+    from scipy.linalg import lapack  # loads SciPy once; later calls find it in sys.modules
+
+    return lapack
+
+
 def spd_factor(a):
     """Cholesky-factor a symmetric positive-definite matrix.
 
@@ -63,7 +69,7 @@ def spd_factor(a):
     ``scipy.linalg.cho_factor(a, lower=True)``. Raises NotPositiveDefinite
     if any pivot is non-positive.
     """
-    c, info = lapack.dpotrf(a, lower=1, clean=0)
+    c, info = _lapack().dpotrf(a, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
@@ -74,10 +80,21 @@ def spd_factor(a):
 def spd_solve(factor, b):
     """Solve using a factor from :func:`spd_factor`; b may be a vector or matrix."""
     c, lower = factor
-    x, info = lapack.dpotrs(c, b, lower=lower)
+    x, info = _lapack().dpotrs(c, b, lower=lower)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return x
+
+
+def lu_factor(a):
+    """Pivoted LU factor of a square matrix for :func:`lu_solve`; None if a pivot is zero."""
+    lu, piv, info = _lapack().dgetrf(a)
+    return (lu, piv) if info == 0 else None
+
+
+def lu_solve(factor, b):
+    """Solve A x = b with a factor from :func:`lu_factor`."""
+    return _lapack().dgetrs(*factor, b)[0]
 
 
 def cholesky_solve(a, b):

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import linalg
 from .classifier import (
@@ -205,6 +204,8 @@ def sample(truth: GroundTruth, spec: SimulationSpec, rng) -> LabeledDataset:
 def oracle_rate(truth: GroundTruth) -> float:
     """Misclassification rate of the rule at the true parameters:
     Phi(-sqrt(delta_p) / 2)."""
+    from scipy.special import ndtr  # imported on first use, so `import lpd.cli` skips SciPy
+
     return float(ndtr(-0.5 * math.sqrt(truth.delta_p)))
 
 
@@ -215,6 +216,8 @@ def conditional_rate(truth: GroundTruth, model: LpdModel) -> float:
     with s = sqrt(beta' Sigma beta). Equals the oracle rate when beta is
     proportional to Omega delta and mu_hat = mu.
     """
+    from scipy.special import ndtr
+
     beta, mu_hat = model.beta, model.mu_hat
     if beta.size != truth.mu1.size:
         raise DimensionMismatch("model dimension does not match the ground truth")

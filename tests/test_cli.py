@@ -501,3 +501,32 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestUnreadableInputs:
+    def test_non_utf8_data_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"caf\xe9,1,2\nB,3,4\ncaf\xe9,5,6\nB,7,8\n")
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--lambda", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"lpd: data error: {data}: not UTF-8 text (byte 0xe9 cannot be decoded)\n"
+        )
+        assert not out.exists()
+
+    def test_model_indices_of_other_length_are_data_error(self, tmp_path, capsys):
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0), p=5)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--lambda", "0.5", "--out", str(model)]) == 0
+        model.write_text(model.read_text().replace('"kept_indices": null',
+                                                   '"kept_indices": [0, 1, 3]'))
+        preds = tmp_path / "preds.csv"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--data", str(data), "--has-labels",
+                     "--out", str(preds)]) == 2
+        assert capsys.readouterr().err == (
+            f"lpd: data error: {model}: malformed model payload: "
+            "kept_indices has 3 ids for 5 features\n"
+        )
+        assert not preds.exists()

@@ -292,3 +292,43 @@ class TestReportsAndTables:
         lines = text.splitlines()
         assert lines[0] == "lambda,correct,eligible,chosen"
         assert sum(line.endswith(",yes") for line in lines[1:]) == 1
+
+
+class TestNotUtf8:
+    """A byte that does not decode as UTF-8 is a ParseError naming the file, in every reader."""
+
+    MESSAGE = r"latin1\.\w+: not UTF-8 text \(byte 0xe9 cannot be decoded\)"
+
+    def test_dataset(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"A,1,2\ncaf\xe9,3,4\n")
+        with pytest.raises(ParseError, match=self.MESSAGE):
+            load_dataset(path)
+        with pytest.raises(ParseError, match=self.MESSAGE):
+            load_features(path, DataFileSchema(has_header=True))
+
+    def test_model(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        save_model(path, LpdModel(beta=[1.0], mu_hat=[0.0], metadata={"note": "cafe"}))
+        path.write_bytes(path.read_bytes().replace(b"cafe", b"caf\xe9"))
+        with pytest.raises(ParseError, match=self.MESSAGE):
+            load_model(path)
+
+    def test_index_map(self, tmp_path):
+        from lpd.dataio import load_indices
+
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"column,original_column\n0,2\n1,7\xe9\n")
+        with pytest.raises(ParseError, match=self.MESSAGE):
+            load_indices(path)
+
+
+class TestModelIndexCount:
+    @pytest.mark.parametrize("ids", ["[0, 4]", "[0, 4, 9, 12]", "[]"])
+    def test_kept_indices_of_other_length_rejected(self, tmp_path, ids):
+        path = tmp_path / "m.json"
+        save_model(path, TestModelPersistence().model())
+        path.write_text(path.read_text().replace('"kept_indices": [0, 4, 9]',
+                                                 f'"kept_indices": {ids}'))
+        with pytest.raises(ParseError, match=r"kept_indices has \d ids for 3 features"):
+            load_model(path)
