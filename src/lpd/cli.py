@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 
@@ -184,11 +185,12 @@ def _cmd_train(args):
         provenance["lambda_source"] = "fixed"
     model = fit_lpd_from_moments(moments, lam, ridge_rho=args.rho)
     if args.indices is not None:
-        model.kept_indices = dataio.load_indices(args.indices)
-        if model.kept_indices.size != model.p:
-            raise DataError(
-                f"{args.indices}: {model.kept_indices.size} indices but the model has {model.p} features"
-            )
+        ids = dataio.load_indices(args.indices)
+        try:  # through the constructor, so the model's own check runs
+            model = dataclasses.replace(model, kept_indices=ids)
+        except ValueError:
+            msg = f"{args.indices}: {ids.size} indices but the model has {model.p} features"
+            raise DataError(msg) from None
     model.metadata.update(provenance)
     dataio.save_model(args.out, model)
     if args.verbose:

@@ -58,41 +58,44 @@ def _atomic_write(path, text):
         raise
 
 
-def _cell_value(path, lineno, col, cell):
-    try:
-        value = float(cell)
-    except ValueError:
-        raise ParseError(f"{path}: row {lineno}, column {col}: not a number: {cell!r}") from None
-    if not math.isfinite(value):
-        raise NonFiniteValue(f"{path}: row {lineno}, column {col}: non-finite value {cell!r}")
-    return value
+def _cell_error(path, lineno, row, label_column):
+    """The typed error for the first unreadable or non-finite cell of a row."""
+    for col, cell in enumerate(row):
+        if col == label_column:
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            return ParseError(f"{path}: row {lineno}, column {col}: not a number: {cell!r}")
+        if not math.isfinite(value):
+            return NonFiniteValue(f"{path}: row {lineno}, column {col}: non-finite value {cell!r}")
+    raise AssertionError(f"{path}: row {lineno} parsed by numpy but not by float()")
 
 
 @contextlib.contextmanager
-def _utf8(path):
-    """Report bytes that do not decode as UTF-8 as a ParseError naming the file."""
+def _text_errors(path):
+    """Bytes that are not UTF-8, or a cell over csv's size limit, as a ParseError."""
     try:
         yield
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise ParseError(f"{path}: not UTF-8 text (byte 0x{byte:02x} cannot be decoded)") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _read_rows(path, schema: DataFileSchema, label_column):
     """Parse a delimited dataset file into (features, label ids, label names).
 
     Blank lines are skipped; with ``schema.has_header`` line 1 is the
-    header. The first row, header included, fixes the width. When
-    ``label_column`` is not None that column is taken out of every row and
-    its stripped text mapped to ids 1, 2, ... in first-seen order. A file
-    one ``np.loadtxt`` pass does not read as it stands goes to
-    :func:`_exact_rows`, which names the error or reads what only ``float``
-    accepts (``1_0``); both round decimals alike, so the arrays agree.
+    header. The first row, header included, fixes the width. The label
+    column's stripped text maps to ids 1, 2, ... in first-seen order. A file
+    one ``np.loadtxt`` pass does not take goes to :func:`_exact_rows`: it names
+    the error or reads what only ``float`` accepts (``1_0``), rounding alike.
     """
-    try:
+    rows = None
+    with contextlib.suppress(ValueError, csv.Error):
         rows = _loadtxt_rows(path, schema, label_column)
-    except ValueError:
-        rows = None
     return rows or _exact_rows(path, schema, label_column)
 
 
@@ -114,7 +117,7 @@ def _loadtxt_rows(path, schema: DataFileSchema, label_column):
         header = next(csv.reader(handle, delimiter=schema.delimiter), []) if schema.has_header else []
         warnings.simplefilter("ignore", UserWarning)  # no data: checked below
         out = np.loadtxt(handle, delimiter=schema.delimiter, comments=None, quotechar='"',
-                         ndmin=2, converters=converters)
+                         ndmin=2, converters=converters, encoding="utf-8")
     if not out.size or (header and len(header) != out.shape[1]) or not np.isfinite(out).all():
         return None
     if label_column is None:
@@ -123,9 +126,9 @@ def _loadtxt_rows(path, schema: DataFileSchema, label_column):
 
 
 def _exact_rows(path, schema: DataFileSchema, label_column):
-    """:func:`_read_rows` by csv and ``float``; errors name the line and original column."""
-    rows, labels, names, width = [], [], {}, None
-    with open(path, "r", encoding="utf-8", newline="") as handle, _utf8(path):
+    """:func:`_read_rows` by csv and ``float``, naming the bad line and column."""
+    rows, width, labels, names = [], None, [], {}
+    with open(path, "r", encoding="utf-8", newline="") as handle, _text_errors(path):
         for lineno, row in enumerate(csv.reader(handle, delimiter=schema.delimiter), start=1):
             if not row:
                 continue
@@ -135,12 +138,18 @@ def _exact_rows(path, schema: DataFileSchema, label_column):
                     continue
             elif len(row) != width:
                 raise RaggedRows(f"{path}: row {lineno} has {len(row)} fields, expected {width}")
+            cells = row
             if label_column is not None:
                 if not 0 <= label_column < len(row):
                     raise ParseError(f"{path}: row {lineno} has no label column {label_column}")
                 labels.append(names.setdefault(row[label_column].strip(), len(names) + 1))
-            rows.append([_cell_value(path, lineno, col, cell)
-                         for col, cell in enumerate(row) if col != label_column])
+                cells = row[:label_column] + row[label_column + 1 :]
+            try:  # one float64 array per row: 8 bytes a cell, not a Python float's 32
+                rows.append(np.array(cells, dtype=float))
+            except ValueError:
+                raise _cell_error(path, lineno, row, label_column) from None
+            if not np.isfinite(rows[-1]).all():
+                raise _cell_error(path, lineno, row, label_column)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.array(rows), np.asarray(labels, dtype=int), tuple(names)
@@ -225,7 +234,7 @@ def save_model(path, model: LpdModel):
 
 def load_model(path) -> LpdModel:
     """Read a model file; unknown schema versions are rejected explicitly."""
-    with open(path, "r", encoding="utf-8") as handle, _utf8(path):
+    with open(path, "r", encoding="utf-8") as handle, _text_errors(path):
         text = handle.read()
     try:
         doc = json.loads(text)
@@ -239,11 +248,9 @@ def load_model(path) -> LpdModel:
             f"{path}: schema_version {version!r}; this build reads version {MODEL_SCHEMA_VERSION}"
         )
     try:
-        beta = np.asarray(doc["beta"], dtype=float)
-        mu_hat = np.asarray(doc["mu_hat"], dtype=float)
         model = LpdModel(
-            beta=beta,
-            mu_hat=mu_hat,
+            beta=doc["beta"],
+            mu_hat=doc["mu_hat"],
             threshold=float(doc["threshold"]),
             lam=float(doc["lambda"]),
             ridge_rho=float(doc["ridge_rho"]),
@@ -307,7 +314,7 @@ def load_indices(path) -> np.ndarray:
     original-column ids in screened-column order, which must be >= 0 and
     strictly increasing."""
     pairs = []
-    with open(path, "r", encoding="utf-8", newline="") as handle, _utf8(path):
+    with open(path, "r", encoding="utf-8", newline="") as handle, _text_errors(path):
         reader = csv.reader(handle)
         for lineno, row in enumerate(reader, start=1):
             if lineno == 1:

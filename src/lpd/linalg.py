@@ -3,11 +3,9 @@
 Matrices and vectors are plain float64 numpy arrays. Factorizations are
 delegated to LAPACK (via numpy/scipy); this module owns the validation,
 the error mapping, and the spectral pseudo-inverse built on top.
-Every LAPACK call in the package is made here, directly: scipy.linalg's
-cho_factor and cho_solve reach dpotrf and dpotrs through Python layers that
-cost more than the factorization itself on the small matrices the
-interior-point solver factors at every iteration. SciPy is imported on the
-first call, so commands that factor nothing (predict, screen) never load it.
+Every LAPACK call in the package is made here, directly, as scipy.linalg's
+wrappers cost more than the small factorizations the solver repeats; SciPy
+is imported on the first call, so predict and screen never load it.
 
 All tolerances are relative to the matrix max-norm so the checks are
 scale-free.

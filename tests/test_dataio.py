@@ -323,6 +323,43 @@ class TestNotUtf8:
             load_indices(path)
 
 
+class TestLabelNames:
+    @pytest.mark.parametrize("cell", ["1.5", "1_0"])  # read by np.loadtxt / by the exact reader
+    def test_label_names_are_text(self, tmp_path, cell):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"A,{cell}\nB,2\nA,3\n")
+        names = load_dataset(path).label_names
+        assert names == ("A", "B")
+        assert all(type(name) is str for name in names)
+
+
+class TestFieldSizeLimit:
+    """A cell longer than the csv module's limit is a ParseError, not a traceback."""
+
+    LONG = "1" + " " * 140_000
+    MESSAGE = r"long\.csv: field larger than field limit"
+
+    def test_dataset_with_a_bad_cell(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(f"A,{self.LONG},2\nB,nan,4\n")
+        with pytest.raises(ParseError, match=self.MESSAGE):
+            load_dataset(path)
+
+    def test_header(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(f"label,{self.LONG}\nA,1\n")
+        with pytest.raises(ParseError, match=self.MESSAGE):
+            load_features(path, DataFileSchema(has_header=True))
+
+    def test_index_map(self, tmp_path):
+        from lpd.dataio import load_indices
+
+        path = tmp_path / "long.csv"
+        path.write_text(f"column,original_column\n0,{self.LONG}\n")
+        with pytest.raises(ParseError, match=self.MESSAGE):
+            load_indices(path)
+
+
 class TestModelIndexCount:
     @pytest.mark.parametrize("ids", ["[0, 4]", "[0, 4, 9, 12]", "[]"])
     def test_kept_indices_of_other_length_rejected(self, tmp_path, ids):

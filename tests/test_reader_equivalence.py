@@ -83,6 +83,7 @@ CASES = {
     "1_0": ("A,1_0,2\nB,3,4\n", {}, False),
     "arabic-indic digit": ("A,\u0661,2\nB,3,4\n", {}, False),
     "BOM": ("\ufeff1,2\n3,4\n", {"label_column": 1}, False),
+    "non-latin1 label": ("\u0394,1,2\n\u03a3 ,3,4\n", {}, True),
     "BOM before the label": ("\ufeffA,1,2\nB,3,4\n", {}, True),
     "file separator byte": ("A,\x1c1,2\nB,3,4\n", {}, False),
     "CR inside a quoted label": ('"A\rB",1,2\n"C",3,4\n', {}, True),
