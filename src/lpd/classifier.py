@@ -85,8 +85,7 @@ class MultiClassLpdModel:
 
     def pair(self, k, l):
         if k < l:
-            beta, mu = self.pairwise[(k, l)]
-            return beta, mu
+            return self.pairwise[(k, l)]
         beta, mu = self.pairwise[(l, k)]
         return -beta, mu
 

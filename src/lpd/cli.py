@@ -171,14 +171,9 @@ def _cmd_train(args):
         result = _cross_validate(args, data, moments)
         lam = result.chosen_lambda
         provenance.update(
-            {
-                "lambda_source": "cv",
-                "folds": args.folds,
-                "grid_size": args.grid_size,
-                "grid_max": float(result.lambda_grid[0]),
-                "grid_min": float(result.lambda_grid[-1]),
-                "cv_correct": int(result.per_lambda_correct()[lam]),
-            }
+            lambda_source="cv", folds=args.folds, grid_size=args.grid_size,
+            grid_max=float(result.lambda_grid[0]), grid_min=float(result.lambda_grid[-1]),
+            cv_correct=int(result.per_lambda_correct()[lam]),
         )
     else:
         lam = args.lam

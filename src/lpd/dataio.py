@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import LpdModel
-from .errors import NonFiniteValue, ParseError, RaggedRows, SchemaVersionMismatch
+from .errors import DataError, NonFiniteValue, ParseError, RaggedRows, SchemaVersionMismatch
 from .stats import LabeledDataset
 
 MODEL_SCHEMA_VERSION = 1
@@ -175,17 +175,19 @@ def load_features(path, schema: DataFileSchema | None = None) -> np.ndarray:
 
 
 def save_dataset(path, dataset: LabeledDataset, schema: DataFileSchema | None = None):
-    """Write a dataset in the same layout :func:`load_dataset` reads."""
+    """Write a dataset in the layout :func:`load_dataset` reads, labels quoted where
+    csv needs it; with ``schema.has_header`` line 1 is ``label``, ``x0``, ``x1``, ...."""
     schema = schema or DataFileSchema()
-    names = dataset.label_names
-    out = io.StringIO()
+    header = [f"x{j}" for j in range(dataset.p)]
+    header.insert(schema.label_column, "label")
+    rows = []
     for row, label in zip(dataset.features, dataset.labels):
-        text = names[label - 1] if names else str(int(label))
-        fields = [fmt_float(v) for v in row]
-        fields.insert(schema.label_column, text)
-        out.write(schema.delimiter.join(fields))
-        out.write("\n")
-    _atomic_write(path, out.getvalue())
+        text = dataset.label_names[label - 1] if dataset.label_names else str(int(label))
+        if "\r" in text:
+            raise DataError(f"{path}: label {text!r}: a carriage return would not read back")
+        rows.append([fmt_float(v) for v in row])
+        rows[-1].insert(schema.label_column, text)
+    _atomic_write(path, _csv_text(header if schema.has_header else None, rows, schema.delimiter))
 
 
 def _json_value(value):
@@ -264,10 +266,12 @@ def load_model(path) -> LpdModel:
     return model
 
 
-def _csv_text(header, rows):
+def _csv_text(header, rows, delimiter=","):
+    """A header row (none if None) and rows as CSV text, for every CSV this module writes."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()
 

@@ -3,9 +3,11 @@
 Matrices and vectors are plain float64 numpy arrays. Factorizations are
 delegated to LAPACK (via numpy/scipy); this module owns the validation,
 the error mapping, and the spectral pseudo-inverse built on top.
-Every LAPACK call in the package is made here, directly, as scipy.linalg's
-wrappers cost more than the small factorizations the solver repeats; SciPy
-is imported on the first call, so predict and screen never load it.
+Every LAPACK call in the package is made here, directly (scipy.linalg's
+wrappers cost more than the small factorizations the solver repeats), but
+one: simulation.sample factors Sigma with np.linalg.cholesky, as numpy and
+SciPy ship separate OpenBLAS builds and moving it could change seeded draws.
+SciPy is imported on the first call, so predict and screen never load it.
 
 All tolerances are relative to the matrix max-norm so the checks are
 scale-free.

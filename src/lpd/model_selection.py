@@ -98,20 +98,23 @@ def cross_validate(data: LabeledDataset, plan: CvPlan) -> CvResult:
                 continue
             counts[j] += int(np.sum(predict(model, val.features) == val.labels))
 
-    eligible = [j for j in range(grid.size) if j not in failures]
+    eligible = {float(grid[j]): counts[j] for j in range(grid.size) if j not in failures}
     if not eligible:
         raise SolverFailure("every candidate lambda failed in at least one fold")
-    best_count = max(counts[j] for j in eligible)
-    # ties break toward the minimum lambda
-    chosen = min(float(grid[j]) for j in eligible if counts[j] == best_count)
-    assert chosen in set(float(l) for l in grid)
     return CvResult(
         lambda_grid=grid.copy(),
         correct_counts=counts,
-        chosen_lambda=chosen,
+        chosen_lambda=smallest_best_lambda(eligible, max),
         fold_assignments=fold_ids,
         failures=failures,
     )
+
+
+def smallest_best_lambda(scores: dict, best) -> float:
+    """The smallest lambda whose score is ``best(scores.values())``: ``max``
+    for CV correct counts, ``min`` for test errors."""
+    top = best(scores.values())
+    return min(lam for lam, score in scores.items() if score == top)
 
 
 def default_lambda_grid(moments: TwoSampleMoments, size: int = 20) -> np.ndarray:

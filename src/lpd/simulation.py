@@ -36,7 +36,7 @@ from .classifier import (
 )
 from .errors import DimensionMismatch, LpdError, SolverError, SolverFailure, ZeroBeta
 from .l1solver import support_mask
-from .model_selection import CvPlan, cross_validate, default_lambda_grid
+from .model_selection import CvPlan, cross_validate, default_lambda_grid, smallest_best_lambda
 from .stats import LabeledDataset, compute_moments
 
 METHOD_ORDER = ("lpd", "naive_bayes", "glda", "ofair", "oracle")
@@ -64,8 +64,11 @@ class SimulationSpec:
             raise ValueError("need 1 <= s0 <= p")
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("each class needs at least 2 samples")
-        if self.rho is not None and not -1 < self.rho < 1:
-            raise ValueError("rho must lie in (-1, 1)")
+        if self.rho is not None and self.model_id == 2:
+            raise ValueError("model 2 does not use rho")
+        low = -1.0 / (self.p - 1) if self.model_id == 1 and self.p > 1 else -1.0
+        if self.rho is not None and not low < self.rho < 1:
+            raise ValueError(f"rho must lie in ({low:.6g}, 1) for model {self.model_id}, p={self.p}")
         if self.distribution not in ("normal", "t5"):
             raise ValueError("distribution must be 'normal' or 't5'")
         if self.reps < 1:
@@ -356,22 +359,18 @@ def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size, fixed_gr
         grid = fixed_grid if fixed_grid is not None else default_lambda_grid(moments, grid_size)
         plan = CvPlan(folds=cv_folds, lambda_grid=grid, seed=fold_seed)
         cv = cross_validate(train, plan)
-        test_errors = {}
-        chosen_model = None
-        for lam in plan.lambda_grid:
+        models = {}
+        for lam in map(float, plan.lambda_grid):
             try:
-                model = fit_lpd_from_moments(moments, float(lam))
+                models[lam] = fit_lpd_from_moments(moments, lam)
             except SolverError as exc:
                 # as in cross_validate, a failed lambda is skipped; only the chosen one is needed
-                if float(lam) == cv.chosen_lambda:
+                if lam == cv.chosen_lambda:
                     raise
-                record.refit_failures[float(lam)] = str(exc)
-                continue
-            test_errors[float(lam)] = _error_percent(model, test)
-            if float(lam) == cv.chosen_lambda:
-                chosen_model = model
-        best_err = min(test_errors.values())
-        record.lambda_opt = min(l for l, e in test_errors.items() if e == best_err)
+                record.refit_failures[lam] = str(exc)
+        test_errors = {lam: _error_percent(model, test) for lam, model in models.items()}
+        chosen_model = models[cv.chosen_lambda]
+        record.lambda_opt = smallest_best_lambda(test_errors, min)
         record.lambda_hat = cv.chosen_lambda
         record.errors["lpd"] = test_errors[cv.chosen_lambda]
         record.support = support_metrics(chosen_model.beta, truth.beta_star)

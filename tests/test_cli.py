@@ -530,3 +530,72 @@ class TestUnreadableInputs:
             "kept_indices has 3 ids for 5 features\n"
         )
         assert not preds.exists()
+
+
+class TestScreenedFilesReadBack:
+    @staticmethod
+    def write_headered(path, rng, names=("A", "B"), n=40, p=8):
+        """Rows alternate names[0], names[1], starting with names[0]; column 2 separates them."""
+        labels = np.arange(n) % 2
+        features = rng.standard_normal((n, p))
+        features[:, 2] += 8.0 * (labels == 0)
+        lines = ["label," + ",".join(f"g{j}" for j in range(p))]
+        lines += [",".join([f'"{names[k]}"'] + [repr(float(v)) for v in row])
+                  for k, row in zip(labels, features)]
+        path.write_text("\n".join(lines) + "\n")
+        return labels + 1
+
+    def test_headered_screen_train_predict_keeps_rows_and_class_ids(self, tmp_path):
+        data = tmp_path / "full.csv"
+        classes = self.write_headered(data, np.random.default_rng(11))
+        screened, idx = tmp_path / "screened.csv", tmp_path / "kept.csv"
+        assert main(["screen", "--data", str(data), "--has-header", "--top-k", "3",
+                     "--out", str(screened), "--indices-out", str(idx)]) == 0
+        back = load_dataset(screened, cli.dataio.DataFileSchema(has_header=True))
+        assert (back.n, back.p, back.label_names) == (40, 3, ("A", "B"))
+        assert back.labels.tolist() == classes.tolist()
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(screened), "--has-header", "--indices", str(idx),
+                     "--lambda", "auto", "--folds", "3", "--grid-size", "5",
+                     "--out", str(model)]) == 0
+        fitted = load_model(model)
+        assert (fitted.metadata["n1"], fitted.metadata["n2"]) == (20, 20)
+        assert 2 in fitted.kept_indices.tolist()
+        preds = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(model), "--data", str(data), "--has-labels",
+                     "--has-header", "--out", str(preds)]) == 0
+        rows = [r.split(",") for r in preds.read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(40))
+        assert [int(r[1]) for r in rows] == classes.tolist()
+
+    def test_label_holding_the_delimiter_survives_screen(self, tmp_path):
+        data = tmp_path / "graded.csv"
+        self.write_headered(data, np.random.default_rng(12), names=("grade,1", "grade,2"), p=6)
+        screened = tmp_path / "screened.csv"
+        assert main(["screen", "--data", str(data), "--has-header", "--top-k", "3",
+                     "--out", str(screened)]) == 0
+        back = load_dataset(screened, cli.dataio.DataFileSchema(has_header=True))
+        assert (back.n, back.p, back.label_names) == (40, 3, ("grade,1", "grade,2"))
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(screened), "--has-header", "--lambda", "auto",
+                     "--folds", "3", "--grid-size", "5", "--out", str(model)]) == 0
+
+
+class TestSimulateRho:
+    ARGV = ["simulate", "--p", "10", "--s0", "2", "--reps", "1", "--methods", "naive_bayes"]
+
+    @pytest.mark.parametrize("model_id, rho, message", [
+        ("1", "-0.2", "rho must lie in (-0.111111, 1) for model 1, p=10"),
+        ("2", "0.3", "model 2 does not use rho"),
+    ])
+    def test_unusable_rho_is_a_usage_error(self, tmp_path, capsys, model_id, rho, message):
+        out = tmp_path / "r.csv"
+        argv = self.ARGV + ["--model-id", model_id, "--rho", rho, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"lpd simulate: error: {message}\n"
+        assert not out.exists()
+
+    def test_negative_rho_inside_the_bound_runs(self, tmp_path):
+        out = tmp_path / "r.csv"
+        argv = self.ARGV + ["--model-id", "1", "--rho", "-0.1", "--out", str(out)]
+        assert main(argv) == 0

@@ -160,3 +160,10 @@ class TestCrossValidate:
         result = cross_validate(data, CvPlan(folds=3, lambda_grid=grid, seed=4))
         model = fit_lpd(data, result.chosen_lambda)
         assert model.beta.shape == (3,)
+
+
+class TestSmallestBestLambda:
+    def test_ties_go_to_the_smallest_lambda(self):
+        scores = {0.4: 7, 0.2: 9, 0.1: 9, 0.05: 8}
+        assert model_selection.smallest_best_lambda(scores, max) == 0.1
+        assert model_selection.smallest_best_lambda({0.4: 1.5, 0.2: 1.5, 0.1: 3.0}, min) == 0.2

@@ -484,3 +484,19 @@ class TestRefitFailures:
         self.patch(monkeypatch, lambda chosen: chosen)
         with pytest.raises(SolverFailure, match="injected"):
             run_benchmark(self.SPEC, methods=("lpd",), grid_size=5, cv_folds=3)
+
+
+class TestSpecRho:
+    @pytest.mark.parametrize("p, rho", [(10, -1 / 9), (10, -0.2), (2, -1.0), (5, 1.0)])
+    def test_equicorrelation_outside_positive_definite_range_rejected(self, p, rho):
+        with pytest.raises(ValueError, match="rho must lie in"):
+            SimulationSpec(model_id=1, p=p, s0=1, rho=rho)
+
+    @pytest.mark.parametrize("model_id, p, rho", [(1, 10, -0.11), (1, 1, -0.9), (3, 10, -0.9)])
+    def test_positive_definite_rho_accepted(self, model_id, p, rho):
+        spec = SimulationSpec(model_id=model_id, p=p, s0=1, rho=rho)
+        assert np.linalg.eigvalsh(build_model(spec).sigma).min() > 0
+
+    def test_model_2_takes_no_rho(self):
+        with pytest.raises(ValueError, match="model 2 does not use rho"):
+            SimulationSpec(model_id=2, p=10, rho=0.3)
