@@ -8,7 +8,7 @@ LDA, oracle rules), cross-validation for lambda, feature screening for
 wide expression-style data, and a replicated synthetic benchmark harness.
 
 The top level exports the API that README.md documents; everything else is
-imported from its submodule, for example ``lpd.classifier.fit_multiclass``.
+imported from its submodule, for example ``lpd.classifier.fit_lpd_from_moments``.
 """
 
 from .classifier import fit_lpd, predict

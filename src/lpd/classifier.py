@@ -10,20 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from . import linalg
-from .errors import (
-    ClassMissing,
-    DimensionMismatch,
-    EmptySupport,
-    SolverFailure,
-    ZeroVariance,
-)
+from .errors import DimensionMismatch, EmptySupport, SolverFailure, ZeroVariance
 from .l1solver import OPTIMAL, LpProblem, SolverConfig, solve
-from .stats import LabeledDataset, TwoSampleMoments, compute_moments, pooled_moments
+from .stats import LabeledDataset, TwoSampleMoments, compute_moments
 
 
 @dataclass
@@ -69,27 +62,6 @@ class LpdModel:
         return self.beta.size
 
 
-@dataclass
-class MultiClassLpdModel:
-    """Pairwise discriminants for K classes.
-
-    ``pairwise`` maps (k, l) with k < l to (beta_kl, mu_kl); the reverse
-    direction uses beta_lk = -beta_kl.
-    """
-
-    class_ids: list
-    pairwise: dict
-    lam: float = 0.0
-    ridge_rho: float = 0.0
-    metadata: dict = field(default_factory=dict)
-
-    def pair(self, k, l):
-        if k < l:
-            return self.pairwise[(k, l)]
-        beta, mu = self.pairwise[(l, k)]
-        return -beta, mu
-
-
 def _threshold_from_priors(priors):
     pi1, pi2 = float(priors[0]), float(priors[1])
     if pi1 <= 0 or pi2 <= 0:
@@ -127,17 +99,6 @@ def predict(model: LpdModel, x):
     return np.where(scores >= model.threshold, 1, 2)
 
 
-def _certified_solve(A, b, lam, ridge_rho, factor, config=None, context=""):
-    """Solve the l1 program; SolverFailure, its message prefixed by ``context``, unless optimal."""
-    sol = solve(LpProblem(A=A, b=b, lam=lam, ridge_rho=ridge_rho, factor=factor), config)
-    if sol.status != OPTIMAL:
-        raise SolverFailure(
-            f"{context}l1 solver returned status {sol.status!r} at lambda={lam:g} "
-            f"(gap {sol.duality_gap:.2e} after {sol.iterations} iterations)"
-        )
-    return sol
-
-
 def fit_lpd_from_moments(
     moments: TwoSampleMoments,
     lam: float,
@@ -152,9 +113,14 @@ def fit_lpd_from_moments(
     """
     if ridge_rho is None:
         ridge_rho = auto_ridge(moments.p, moments.n1 + moments.n2)
-    sol = _certified_solve(
-        moments.sigma_hat, moments.delta_hat, lam, ridge_rho, moments.factor, config
-    )
+    problem = LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=lam,
+                        ridge_rho=ridge_rho, factor=moments.factor)
+    sol = solve(problem, config)
+    if sol.status != OPTIMAL:
+        raise SolverFailure(
+            f"l1 solver returned status {sol.status!r} at lambda={lam:g} "
+            f"(gap {sol.duality_gap:.2e} after {sol.iterations} iterations)"
+        )
     return LpdModel(
         beta=sol.beta,
         mu_hat=moments.mu_hat,
@@ -249,68 +215,6 @@ def oracle_fisher(mu1, mu2, omega) -> LpdModel:
         mu_hat=0.5 * (mu1 + mu2),
         metadata={"method": "oracle"},
     )
-
-
-def fit_multiclass(
-    data: LabeledDataset,
-    lam: float,
-    ridge_rho: float | None = None,
-) -> MultiClassLpdModel:
-    """Pairwise LPD fits for K >= 2 classes.
-
-    Every pair (k, l) shares the covariance pooled over all K classes;
-    only the mean differences vary.
-    """
-    class_ids = [int(k) for k in data.classes]
-    if len(class_ids) < 2:
-        raise ClassMissing("multi-class fit needs at least two classes")
-    means, sigma, factor = pooled_moments(data)
-    if ridge_rho is None:
-        ridge_rho = auto_ridge(data.p, data.n)
-    pairwise = {}
-    for k, l in combinations(class_ids, 2):
-        sol = _certified_solve(
-            sigma, means[k] - means[l], lam, ridge_rho, factor, context=f"pair ({k}, {l}): "
-        )
-        pairwise[(k, l)] = (sol.beta, 0.5 * (means[k] + means[l]))
-    return MultiClassLpdModel(
-        class_ids=class_ids,
-        pairwise=pairwise,
-        lam=lam,
-        ridge_rho=ridge_rho,
-        metadata={"method": "lpd_multiclass", "n_classes": len(class_ids)},
-    )
-
-
-def predict_multiclass(model: MultiClassLpdModel, x, with_diagnostics: bool = False):
-    """Class ids for one sample or a batch.
-
-    A class wins outright when it satisfies every pairwise inequality
-    (z - mu_kl)' beta_kl >= 0; the smallest such id is returned. When no
-    class wins all pairs, the deterministic fallback picks the class
-    maximizing the minimum pairwise score. With diagnostics, also returns
-    a boolean array marking fallback decisions.
-    """
-    arr = np.asarray(x, dtype=float)
-    batch = np.atleast_2d(arr)
-    ids = model.class_ids
-    n = batch.shape[0]
-    min_scores = np.full((n, len(ids)), np.inf)
-    for i, k in enumerate(ids):
-        for l in ids:
-            if l == k:
-                continue
-            beta, mu = model.pair(k, l)
-            scores = (batch - mu) @ beta
-            min_scores[:, i] = np.minimum(min_scores[:, i], scores)
-    wins_all = min_scores >= 0.0
-    fallback = ~wins_all.any(axis=1)
-    choice = np.where(fallback, np.argmax(min_scores, axis=1), np.argmax(wins_all, axis=1))
-    labels = np.asarray(ids)[choice]
-    if arr.ndim == 1:
-        labels = int(labels[0])
-        fallback = bool(fallback[0])
-    return (labels, fallback) if with_diagnostics else labels
 
 
 def oracle_independence_gap(sigma, delta):

@@ -283,7 +283,7 @@ def _cmd_screen(args):
         if args.top_k is not None:
             data, kept_t = t_statistic_screen(data, args.top_k)
             kept = kept[kept_t]
-    dataio.save_dataset(args.out, data, _schema(args))
+        dataio.save_dataset(args.out, data, _schema(args))
     if args.indices_out:
         dataio.save_indices(args.indices_out, kept)
     print(f"wrote {args.out} ({kept.size} features kept)")

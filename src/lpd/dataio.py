@@ -176,8 +176,15 @@ def load_features(path, schema: DataFileSchema | None = None) -> np.ndarray:
 
 def save_dataset(path, dataset: LabeledDataset, schema: DataFileSchema | None = None):
     """Write a dataset in the layout :func:`load_dataset` reads, labels quoted where
-    csv needs it; with ``schema.has_header`` line 1 is ``label``, ``x0``, ``x1``, ...."""
+    csv needs it; with ``schema.has_header`` line 1 is ``label``, ``x0``, ``x1``, ....
+
+    Raises ValueError, writing nothing, when ``schema.label_column`` does not
+    lie in 0..p, so the label could not be read back at that column.
+    """
     schema = schema or DataFileSchema()
+    if not 0 <= schema.label_column <= dataset.p:
+        raise ValueError(f"label column {schema.label_column} does not fit a file of "
+                         f"{dataset.p} kept features; it must lie in 0..{dataset.p}")
     header = [f"x{j}" for j in range(dataset.p)]
     header.insert(schema.label_column, "label")
     rows = []

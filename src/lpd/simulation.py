@@ -345,7 +345,7 @@ def _true_support(truth) -> np.ndarray:
     return np.flatnonzero(truth.mu1 - truth.mu2 != 0.0)
 
 
-def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size, fixed_grid):
+def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size):
     rng = np.random.default_rng(seed_seq)
     truth = build_model(spec, rng)
     train = sample(truth, spec, rng)
@@ -356,7 +356,7 @@ def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size, fixed_gr
 
     if "lpd" in methods:
         moments = compute_moments(train)
-        grid = fixed_grid if fixed_grid is not None else default_lambda_grid(moments, grid_size)
+        grid = default_lambda_grid(moments, grid_size)
         plan = CvPlan(folds=cv_folds, lambda_grid=grid, seed=fold_seed)
         cv = cross_validate(train, plan)
         models = {}
@@ -410,7 +410,6 @@ def check_run_options(methods, cv_folds, grid_size) -> tuple:
 def run_benchmark(
     spec: SimulationSpec,
     methods=METHOD_ORDER,
-    cv_plan: CvPlan | None = None,
     cv_folds: int = 5,
     grid_size: int = 20,
     max_workers: int = 1,
@@ -418,13 +417,12 @@ def run_benchmark(
     """Replicated train/test comparison of the requested methods.
 
     Per replication: draw independent train and test sets of identical
-    sizes, tune lambda by CV on the train set, fit every requested method,
-    and score on the test set. ``lambda_opt`` records the grid value
-    minimizing the test error among the lambdas whose refit succeeded; a
-    replication fails only when the refit at the CV-chosen lambda fails.
-    When ``cv_plan`` is given, its folds and grid are used verbatim for
-    every replication; otherwise the grid is re-anchored at each
-    replication's train moments.
+    sizes, tune lambda by ``cv_folds``-fold CV on the train set, fit every
+    requested method, and score on the test set. The lambda grid of
+    ``grid_size`` values is anchored at each replication's train moments.
+    ``lambda_opt`` records the grid value minimizing the test error among
+    the lambdas whose refit succeeded; a replication fails only when the
+    refit at the CV-chosen lambda fails.
 
     Bad options raise ValueError before any replication starts (see
     :func:`check_run_options`). Replications run on independent
@@ -434,9 +432,6 @@ def run_benchmark(
     replication order. When every replication fails,
     :class:`SolverFailure` is raised.
     """
-    fixed_grid = None
-    if cv_plan is not None:
-        cv_folds, fixed_grid = cv_plan.folds, cv_plan.lambda_grid
     methods = check_run_options(methods, cv_folds, grid_size)
 
     streams = np.random.SeedSequence(spec.seed).spawn(spec.reps)
@@ -445,8 +440,7 @@ def run_benchmark(
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
         futures = [
-            pool.submit(_run_replication, spec, methods, streams[rep], rep, cv_folds,
-                        grid_size, fixed_grid)
+            pool.submit(_run_replication, spec, methods, streams[rep], rep, cv_folds, grid_size)
             for rep in range(spec.reps)
         ]
     for rep, future in enumerate(futures):

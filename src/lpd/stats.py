@@ -114,27 +114,6 @@ def class_means(data):
     return means
 
 
-def pooled_moments(data):
-    """Class means, pooled divisor-n covariance, and its centred-data factor.
-
-    Sigma = (1/n) * sum_k sum_{i in class k} (x_i - mean_k)(x_i - mean_k)'.
-    The factor U = Xc' / sqrt(n) stacks the within-class centred rows as
-    columns (p x n), so Sigma = U U' up to rounding.
-    """
-    means = class_means(data)
-    p = data.p
-    acc = np.zeros((p, p))
-    blocks = []
-    for k, mean in means.items():
-        centered = data.features[data.class_rows(k)] - mean
-        acc += centered.T @ centered
-        blocks.append(centered)
-    sigma = acc / data.n
-    centred = np.vstack(blocks)
-    centred /= math.sqrt(data.n)
-    return means, 0.5 * (sigma + sigma.T), centred.T
-
-
 def pooled_variances(data):
     """Diagonal of the pooled divisor-n covariance, computed without the full matrix."""
     means = class_means(data)
@@ -146,19 +125,33 @@ def pooled_variances(data):
 
 
 def compute_moments(data) -> TwoSampleMoments:
-    """Means, mean difference, midpoint, pooled covariance and its factor for classes {1, 2}."""
+    """Means, mean difference, midpoint, pooled covariance and its factor for classes {1, 2}.
+
+    Sigma = (1/n) * sum_k sum_{i in class k} (x_i - mean_k)(x_i - mean_k)'.
+    The factor U = Xc' / sqrt(n) stacks the within-class centred rows as
+    columns (p x n), so Sigma = U U' up to rounding.
+    """
     _require_binary(data)
-    means, sigma, factor = pooled_moments(data)
+    means = class_means(data)
+    acc = np.zeros((data.p, data.p))
+    blocks = []
+    for k, mean in means.items():
+        centered = data.features[data.class_rows(k)] - mean
+        acc += centered.T @ centered
+        blocks.append(centered)
+    sigma = acc / data.n
+    centred = np.vstack(blocks)
+    centred /= math.sqrt(data.n)
     mean1, mean2 = means[1], means[2]
     return TwoSampleMoments(
         mean1=mean1,
         mean2=mean2,
         delta_hat=mean1 - mean2,
         mu_hat=0.5 * (mean1 + mean2),
-        sigma_hat=sigma,
+        sigma_hat=0.5 * (sigma + sigma.T),
         n1=int(data.class_rows(1).size),
         n2=int(data.class_rows(2).size),
-        factor=factor,
+        factor=centred.T,
     )
 
 

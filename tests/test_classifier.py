@@ -7,13 +7,11 @@ from lpd.classifier import (
     decision_scores,
     fit_glda,
     fit_lpd,
-    fit_multiclass,
     fit_naive_bayes,
     fit_ofair,
     oracle_fisher,
     oracle_independence_gap,
     predict,
-    predict_multiclass,
 )
 from lpd.errors import DimensionMismatch, EmptySupport, ZeroVariance
 from lpd.stats import LabeledDataset, compute_moments
@@ -56,6 +54,24 @@ class TestFitLpd:
     def test_priors_and_estimate_conflict(self):
         with pytest.raises(ValueError):
             fit_lpd(toy_1d(), lam=0.5, priors=(0.5, 0.5), estimate_priors=True)
+
+    def test_solver_failure_names_status_lambda_and_gap(self, monkeypatch):
+        import lpd.classifier as classifier
+        from lpd.errors import SolverFailure
+        from lpd.l1solver import ITERATION_LIMIT, LpSolution
+
+        def stalls(problem, config=None):
+            return LpSolution(beta=np.zeros(problem.b.size), objective=0.0, max_residual=1.0,
+                              iterations=100, duality_gap=3.5e-4, status=ITERATION_LIMIT)
+
+        monkeypatch.setattr(classifier, "solve", stalls)
+        moments = compute_moments(random_binary(np.random.default_rng(18), 8, 8, 3, shift=2.0))
+        with pytest.raises(SolverFailure) as failure:
+            classifier.fit_lpd_from_moments(moments, lam=0.2)
+        message = str(failure.value)
+        assert "'iteration_limit'" in message
+        assert "lambda=0.2 " in message
+        assert "gap 3.50e-04 after 100 iterations" in message
 
 
 class TestPredict:
@@ -239,87 +255,6 @@ class TestOracleFisher:
         expected = np.array([truth.omega[i] @ delta for i in range(5)])
         assert_allclose(model.beta, expected, rtol=1e-12)
         assert np.abs(model.beta[4]) < 1e-12  # beyond the tridiagonal reach
-
-
-class TestMulticlass:
-    def test_two_classes_agree_with_binary(self):
-        rng = np.random.default_rng(14)
-        data = random_binary(rng, 20, 20, 4, shift=1.0)
-        binary = fit_lpd(data, lam=0.2)
-        multi = fit_multiclass(data, lam=0.2)
-        points = rng.standard_normal((60, 4))
-        assert predict_multiclass(multi, points).tolist() == predict(binary, points).tolist()
-
-    def test_three_separated_gaussians_zero_training_error(self):
-        rng = np.random.default_rng(15)
-        centers = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])
-        features = np.vstack([rng.standard_normal((15, 2)) + c for c in centers])
-        labels = np.repeat([1, 2, 3], 15)
-        data = LabeledDataset(features, labels)
-        model = fit_multiclass(data, lam=0.05)
-        assert np.all(predict_multiclass(model, features) == labels)
-
-    def test_no_winner_fallback_flagged(self):
-        """A rock-paper-scissors score cycle has no class winning all pairs."""
-        model = fit_multiclass(
-            LabeledDataset(
-                np.vstack(
-                    [
-                        np.random.default_rng(16).standard_normal((6, 2)) + c
-                        for c in ([0, 0], [4, 0], [2, 3])
-                    ]
-                ),
-                np.repeat([1, 2, 3], 6),
-            ),
-            lam=0.1,
-        )
-        # overwrite the pairwise directions to force a cycle at the origin
-        model.pairwise[(1, 2)] = (np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        model.pairwise[(1, 3)] = (np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
-        model.pairwise[(2, 3)] = (np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        label, fallback = predict_multiclass(model, np.zeros(2), with_diagnostics=True)
-        assert fallback
-        assert label in (1, 2, 3)
-
-    def test_pair_orientation_antisymmetric(self):
-        data = LabeledDataset(
-            np.vstack(
-                [np.random.default_rng(17).standard_normal((8, 3)) + c for c in ([0] * 3, [2] * 3, [4] * 3)]
-            ),
-            np.repeat([1, 2, 3], 8),
-        )
-        model = fit_multiclass(data, lam=0.2)
-        beta_12, _ = model.pair(1, 2)
-        beta_21, _ = model.pair(2, 1)
-        assert_allclose(beta_21, -beta_12)
-
-
-    def test_failed_pair_named_with_gap(self, monkeypatch):
-        import lpd.classifier as classifier
-        from lpd.errors import SolverFailure
-        from lpd.l1solver import ITERATION_LIMIT, LpSolution
-
-        real, calls = classifier.solve, []
-
-        def second_pair_stalls(problem, config=None):
-            calls.append(1)
-            if len(calls) == 2:  # pairs run in order (1, 2), (1, 3), (2, 3)
-                return LpSolution(beta=np.zeros(problem.b.size), objective=0.0,
-                                  max_residual=1.0, iterations=100, duality_gap=3.5e-4,
-                                  status=ITERATION_LIMIT)
-            return real(problem, config)
-
-        monkeypatch.setattr(classifier, "solve", second_pair_stalls)
-        data = LabeledDataset(
-            np.vstack([np.random.default_rng(18).standard_normal((8, 3)) + c for c in (0, 2, 4)]),
-            np.repeat([1, 2, 3], 8),
-        )
-        with pytest.raises(SolverFailure) as failure:
-            fit_multiclass(data, lam=0.2)
-        message = str(failure.value)
-        assert message.startswith("pair (1, 3): ")
-        assert "'iteration_limit'" in message
-        assert "gap 3.50e-04 after 100 iterations" in message
 
 
 class TestOracleIndependenceGap:

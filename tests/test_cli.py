@@ -580,6 +580,24 @@ class TestScreenedFilesReadBack:
         assert main(["train", "--data", str(screened), "--has-header", "--lambda", "auto",
                      "--folds", "3", "--grid-size", "5", "--out", str(model)]) == 0
 
+    def test_label_column_past_the_kept_width_is_a_usage_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        labels = np.arange(20) % 2 + 1
+        data = tmp_path / "last.csv"
+        data.write_text("".join(",".join([repr(float(v)) for v in rng.standard_normal(5)]
+                                         + [str(k)]) + "\n" for k in labels))
+        screened, idx = tmp_path / "s.csv", tmp_path / "kept.csv"
+        assert main(["screen", "--data", str(data), "--label-column", "5", "--top-k", "2",
+                     "--out", str(screened), "--indices-out", str(idx)]) == 1
+        assert capsys.readouterr().err == (
+            "lpd screen: error: label column 5 does not fit a file of 2 kept features; "
+            "it must lie in 0..2\n")
+        assert not screened.exists() and not idx.exists()
+        assert main(["screen", "--data", str(data), "--label-column", "5", "--top-k", "5",
+                     "--out", str(screened)]) == 0
+        back = load_dataset(screened, cli.dataio.DataFileSchema(label_column=5))
+        assert back.labels.tolist() == labels.tolist()
+
 
 class TestSimulateRho:
     ARGV = ["simulate", "--p", "10", "--s0", "2", "--reps", "1", "--methods", "naive_bayes"]

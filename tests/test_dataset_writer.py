@@ -93,3 +93,12 @@ def test_carriage_return_in_a_label_is_a_data_error(tmp_path, name):
     with pytest.raises(DataError, match=r"label 'a\\r.*': a carriage return"):
         save_dataset(path, two_class(names=("ok", name)))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("label_column", [-1, 4])
+def test_label_column_outside_0_to_p_is_refused(tmp_path, label_column):
+    path = tmp_path / "wide_label.csv"
+    with pytest.raises(ValueError, match=f"label column {label_column} does not fit a file "
+                                         "of 3 kept features; it must lie in 0..3"):
+        save_dataset(path, two_class(p=3), DataFileSchema(label_column=label_column))
+    assert not path.exists()

@@ -306,15 +306,6 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(spec, methods=("lpd", "svm"))
 
-    def test_fixed_cv_plan_grid_used_verbatim(self):
-        from lpd.model_selection import CvPlan
-
-        spec = SimulationSpec(model_id=1, p=10, n1=30, n2=30, s0=3, reps=2, seed=8)
-        plan = CvPlan(folds=3, lambda_grid=[0.5, 0.25], seed=0)
-        report = run_benchmark(spec, methods=("lpd",), cv_plan=plan)
-        for record in report.records:
-            assert record.lambda_hat in (0.5, 0.25)
-
     def test_failure_counted_not_silent(self, monkeypatch):
         import lpd.simulation as sim
 
