@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, EmptySupport, SolverFailure, ZeroVariance
-from .l1solver import OPTIMAL, LpProblem, SolverConfig, solve
+from .errors import DimensionMismatch, EmptySupport, SolverError, SolverFailure, ZeroVariance
+from .l1solver import OPTIMAL, LpProblem, SolverConfig, solve, solve_grid
 from .stats import LabeledDataset, TwoSampleMoments, compute_moments
 
 
@@ -111,13 +111,48 @@ def fit_lpd_from_moments(
     Raises SolverFailure when the solver terminates without an optimal
     certificate.
     """
+    problem, ridge_rho = _problem(moments, lam, ridge_rho)
+    fit = _certified_model(moments, lam, solve(problem, config), ridge_rho, threshold)
+    if isinstance(fit, SolverError):
+        raise fit
+    return fit
+
+
+def fit_lpd_path(
+    moments: TwoSampleMoments,
+    lambdas,
+    config: SolverConfig | None = None,
+    ridge_rho: float | None = None,
+    threshold: float = 0.0,
+) -> list:
+    """:func:`fit_lpd_from_moments` at every lambda of ``lambdas``, by one
+    :func:`~lpd.l1solver.solve_grid` call.
+
+    Entry j is the model at lambdas[j], or the SolverError that
+    :func:`fit_lpd_from_moments` would raise there; other errors propagate.
+    """
+    lambdas = [float(lam) for lam in lambdas]
+    if not lambdas:
+        return []
+    problem, ridge_rho = _problem(moments, lambdas[0], ridge_rho)
+    return [sol if isinstance(sol, SolverError)
+            else _certified_model(moments, lam, sol, ridge_rho, threshold)
+            for lam, sol in zip(lambdas, solve_grid(problem, lambdas, config))]
+
+
+def _problem(moments, lam, ridge_rho):
+    """The l1 program at the moments, with the ridge resolved (auto when None)."""
     if ridge_rho is None:
         ridge_rho = auto_ridge(moments.p, moments.n1 + moments.n2)
     problem = LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=lam,
                         ridge_rho=ridge_rho, factor=moments.factor)
-    sol = solve(problem, config)
+    return problem, ridge_rho
+
+
+def _certified_model(moments, lam, sol, ridge_rho, threshold):
+    """The model of an optimal solution, or the SolverFailure naming why it is not one."""
     if sol.status != OPTIMAL:
-        raise SolverFailure(
+        return SolverFailure(
             f"l1 solver returned status {sol.status!r} at lambda={lam:g} "
             f"(gap {sol.duality_gap:.2e} after {sol.iterations} iterations)"
         )

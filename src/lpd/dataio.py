@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -45,16 +46,34 @@ def fmt_float(x) -> str:
     return "%.17g" % float(x)
 
 
-def _atomic_write(path, text):
-    path = os.fspath(path)
-    tmp = f"{path}.tmp.{os.getpid()}"
+def _atomic_write(*outputs):
+    """Write each (path, text) pair to a temporary file, then rename them all into place.
+
+    Every temporary file is written before the first rename, so a failed write
+    leaves none of the outputs; if a rename fails, the outputs already renamed
+    that did not exist before are removed. A failed write names the path given,
+    not its temporary file.
+    """
+    staged, placed = [], []
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs:
+            path = os.fspath(path)
+            staged.append((f"{path}.tmp.{os.getpid()}.{len(staged)}", path, os.path.exists(path)))
+            try:
+                with open(staged[-1][0], "w", encoding="utf-8", newline="") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+        for tmp, path, existed in staged:
+            os.replace(tmp, path)
+            placed.append((path, existed))
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        for path, existed in placed:
+            if not existed:
+                os.unlink(path)
         raise
 
 
@@ -92,6 +111,8 @@ def _read_rows(path, schema: DataFileSchema, label_column):
     column's stripped text maps to ids 1, 2, ... in first-seen order. A file
     one ``np.loadtxt`` pass does not take goes to :func:`_exact_rows`: it names
     the error or reads what only ``float`` accepts (``1_0``), rounding alike.
+    A file that pass reads whole but for a non-finite value is not parsed
+    again: :func:`_nonfinite_error` names the value.
     """
     rows = None
     with contextlib.suppress(ValueError, csv.Error):
@@ -118,11 +139,25 @@ def _loadtxt_rows(path, schema: DataFileSchema, label_column):
         warnings.simplefilter("ignore", UserWarning)  # no data: checked below
         out = np.loadtxt(handle, delimiter=schema.delimiter, comments=None, quotechar='"',
                          ndmin=2, converters=converters, encoding="utf-8")
-    if not out.size or (header and len(header) != out.shape[1]) or not np.isfinite(out).all():
+    if not out.size or (header and len(header) != out.shape[1]):
         return None
+    bad_rows = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad_rows.size:
+        raise _nonfinite_error(path, schema, label_column, int(bad_rows[0]))
     if label_column is None:
         return out, np.empty(0, dtype=int), ()
     return np.delete(out, label_column, axis=1), out[:, label_column].astype(int), tuple(names)
+
+
+def _nonfinite_error(path, schema: DataFileSchema, label_column, index):
+    """The error :func:`_exact_rows` raises when data row ``index`` (0-based) is the
+    first with a non-finite value; the csv records before it are only counted."""
+    with open(path, "r", encoding="utf-8", newline="") as handle, _text_errors(path):
+        records = enumerate(csv.reader(handle, delimiter=schema.delimiter), start=1)
+        data = ((lineno, row) for lineno, row in records
+                if row and not (schema.has_header and lineno == 1))
+        lineno, row = next(itertools.islice(data, index, None))
+    return _cell_error(path, lineno, row, label_column)
 
 
 def _exact_rows(path, schema: DataFileSchema, label_column):
@@ -174,9 +209,12 @@ def load_features(path, schema: DataFileSchema | None = None) -> np.ndarray:
     return _read_rows(path, schema or DataFileSchema(), None)[0]
 
 
-def save_dataset(path, dataset: LabeledDataset, schema: DataFileSchema | None = None):
+def save_dataset(path, dataset: LabeledDataset, schema: DataFileSchema | None = None,
+                 indices=None):
     """Write a dataset in the layout :func:`load_dataset` reads, labels quoted where
     csv needs it; with ``schema.has_header`` line 1 is ``label``, ``x0``, ``x1``, ....
+    ``indices``, a (path, kept indices) pair, adds the :func:`save_indices` map
+    of a screened dataset: both files are written or neither.
 
     Raises ValueError, writing nothing, when ``schema.label_column`` does not
     lie in 0..p, so the label could not be read back at that column.
@@ -194,7 +232,10 @@ def save_dataset(path, dataset: LabeledDataset, schema: DataFileSchema | None = 
             raise DataError(f"{path}: label {text!r}: a carriage return would not read back")
         rows.append([fmt_float(v) for v in row])
         rows[-1].insert(schema.label_column, text)
-    _atomic_write(path, _csv_text(header if schema.has_header else None, rows, schema.delimiter))
+    outputs = [(path, _csv_text(header if schema.has_header else None, rows, schema.delimiter))]
+    if indices is not None:
+        outputs.append((indices[0], _indices_text(indices[1])))
+    _atomic_write(*outputs)
 
 
 def _json_value(value):
@@ -238,7 +279,7 @@ def save_model(path, model: LpdModel):
         comma = "," if i < len(fields) - 1 else ""
         lines.append(f'  "{key}": {_json_value(value)}{comma}')
     lines.append("}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write((path, "\n".join(lines) + "\n"))
 
 
 def load_model(path) -> LpdModel:
@@ -289,7 +330,7 @@ def save_report(path, report):
         (section, name, fmt_float(mean), fmt_float(sd))
         for section, name, mean, sd in report.to_rows()
     ]
-    _atomic_write(path, _csv_text(REPORT_HEADER, rows))
+    _atomic_write((path, _csv_text(REPORT_HEADER, rows)))
 
 
 def save_predictions(path, classes, scores):
@@ -298,7 +339,7 @@ def save_predictions(path, classes, scores):
         (i, int(c), fmt_float(s))
         for i, (c, s) in enumerate(zip(np.atleast_1d(classes), np.atleast_1d(scores)))
     ]
-    _atomic_write(path, _csv_text(("sample_index", "predicted_class", "score"), rows))
+    _atomic_write((path, _csv_text(("sample_index", "predicted_class", "score"), rows)))
 
 
 def save_cv_table(path_or_none, result):
@@ -310,14 +351,18 @@ def save_cv_table(path_or_none, result):
         rows.append((fmt_float(lam), int(count), eligible, chosen))
     text = _csv_text(("lambda", "correct", "eligible", "chosen"), rows)
     if path_or_none is not None:
-        _atomic_write(path_or_none, text)
+        _atomic_write((path_or_none, text))
     return text
 
 
 def save_indices(path, kept_indices):
     """Map of screened column -> original column, as CSV."""
+    _atomic_write((path, _indices_text(kept_indices)))
+
+
+def _indices_text(kept_indices):
     rows = [(new, int(orig)) for new, orig in enumerate(kept_indices)]
-    _atomic_write(path, _csv_text(("column", "original_column"), rows))
+    return _csv_text(("column", "original_column"), rows)
 
 
 def load_indices(path) -> np.ndarray:

@@ -24,6 +24,10 @@ at O(p k^2) per iteration instead of O(p^3). Every such solve is checked
 against the dense operator; an iteration whose check fails falls back to
 the dense assembly and Cholesky.
 
+solve_grid solves the program at every lambda of a grid as one batch: the
+start point is shared, and the members' iterations run in step on stacked
+arrays, each member bit-identical to solve at its lambda.
+
 The solver is deterministic: no randomization anywhere.
 """
 
@@ -38,6 +42,7 @@ from .errors import (
     DimensionMismatch,
     InfeasibleProblem,
     NotPositiveDefinite,
+    SolverError,
     SolverFailure,
 )
 
@@ -53,6 +58,8 @@ _CHOL_JITTERS = (0.0, 1e-14, 1e-10, 1e-6)
 # of iterative refinement.
 _WOODBURY_RTOL = 1e-10
 _REFINE_STEPS = 3
+# solve_grid keeps at most this many bytes of Newton systems alive at once.
+_GROUP_BYTES = 2 << 20
 
 # Coefficients at or below this magnitude are interior-point noise around an
 # exact zero; the dual normalization keeps the scale absolute.
@@ -160,22 +167,34 @@ class StandardFormLp:
     def n_constraints(self) -> int:
         return 4 * self.p
 
-    def rhs(self) -> np.ndarray:
-        lam = np.full(self.p, self.lam)
-        return np.concatenate([np.zeros(self.p), np.zeros(self.p), lam - self.b, lam + self.b])
+    def rhs(self, lam=None) -> np.ndarray:
+        """The right-hand side at ``self.lam``, or one row per entry of an array ``lam``."""
+        lam = np.asarray(self.lam if lam is None else lam, dtype=float)[..., None]
+        zeros = np.zeros(lam.shape[:-1] + (2 * self.p,))
+        return np.concatenate([zeros, lam - self.b, lam + self.b], axis=-1)
+
+    def times_a(self, x) -> np.ndarray:
+        """A_rho @ x for a vector, or for each row of a matrix. Row by row: one
+        matrix product over all rows would round differently from the vector case."""
+        if x.ndim == 1:
+            return self.a_rho @ x
+        out = np.empty_like(x)
+        for row, target in zip(x, out):
+            np.matmul(self.a_rho, row, out=target)
+        return out
 
     def apply_g(self, beta, u, ab=None) -> np.ndarray:
-        """G @ (beta, u) without materializing G; ``ab`` is A_rho @ beta if
-        the caller already has it."""
+        """G @ (beta, u) without materializing G, for one point or one per row;
+        ``ab`` is A_rho @ beta if the caller already has it."""
         if ab is None:
-            ab = self.a_rho @ beta
-        return np.concatenate([-beta - u, beta - u, -ab, ab])
+            ab = self.times_a(beta)
+        return np.concatenate([-beta - u, beta - u, -ab, ab], axis=-1)
 
     def apply_gt(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """G' @ z, returned as its (beta, u) blocks."""
-        blocks = z.reshape(4, self.p)
-        z1, z2 = blocks[0], blocks[1]
-        return z2 - z1 + self.a_rho @ (blocks[3] - blocks[2]), -(z1 + z2)
+        """G' @ z, returned as its (beta, u) blocks, for one z or one per row."""
+        blocks = z.reshape(z.shape[:-1] + (4, self.p))
+        z1, z2 = blocks[..., 0, :], blocks[..., 1, :]
+        return z2 - z1 + self.times_a(blocks[..., 3, :] - blocks[..., 2, :]), -(z1 + z2)
 
     def constraint_matrix(self) -> np.ndarray:
         """Materialized 4p x 2p inequality matrix (inspection and tests only)."""
@@ -214,25 +233,7 @@ def _step_lengths(v, dv):
     fmin pass over; a row with no dv_i < 0 gets the full step.
     """
     ratio = v / np.where(dv < 0, dv, np.nan)
-    return np.fmin(-np.fmax.reduce(ratio, axis=1), 1.0)
-
-
-def _initial_beta(sf: StandardFormLp, rho: float, lam: float):
-    """Start at beta0 = A_rho^{-1} b (strictly feasible for any lam > 0),
-    with a pseudo-inverse fallback plus a feasibility check when rho = 0
-    and A is singular."""
-    try:
-        return linalg.spd_solve(linalg.spd_factor(sf.a_rho), sf.b)
-    except NotPositiveDefinite:
-        if rho > 0:
-            raise
-    beta0 = linalg.pseudo_inverse(sf.a_rho) @ sf.b
-    resid = float(np.abs(sf.a_rho @ beta0 - sf.b).max())
-    if resid > lam * (1 + 1e-9) + 1e-12:
-        raise InfeasibleProblem(
-            f"singular constraint matrix: least-norm residual {resid:.3e} exceeds lambda {lam:.3e}"
-        )
-    return beta0
+    return np.fmin(-np.fmax.reduce(ratio, axis=-1), 1.0)
 
 
 def _solution(sf, beta, iterations, gap, status, low_rank=False, fallbacks=0):
@@ -354,110 +355,184 @@ def solve(problem: LpProblem, config: SolverConfig | None = None) -> LpSolution:
     below gap_tol, and the constraint residual certifies
     ||A_rho beta - b||_inf <= lam * (1 + 1e-6) + 1e-8. Raises
     InfeasibleProblem when ridge_rho = 0, A is singular, and the least-norm
-    residual exceeds lam.
+    residual exceeds lam. The batch of one of :func:`solve_grid`.
+    """
+    result = solve_grid(problem, [problem.lam], config)[0]
+    if isinstance(result, SolverError):
+        raise result
+    return result
+
+
+def solve_grid(problem: LpProblem, lambdas, config: SolverConfig | None = None) -> list:
+    """:func:`solve` at every lambda of ``lambdas`` (``problem.lam`` is not used).
+
+    A_rho, its Cholesky factor and the starting point beta0 = A_rho^{-1} b do
+    not depend on lambda and are built once. The members then run one
+    interior-point iteration loop together, a few at a time so that their
+    Newton systems stay within _GROUP_BYTES; each member is bit-identical to
+    :func:`solve` at its lambda. Entry j is that LpSolution, or the
+    SolverError :func:`solve` would raise at lambdas[j].
     """
     if config is None:
         config = SolverConfig()
+    lams = np.asarray(lambdas, dtype=float).reshape(-1)
+    if np.any(lams < 0):
+        raise ValueError("lam must be >= 0")
     sf = build_lp(problem)
-    p = sf.p
-    lam = sf.lam
-    rho = problem.ridge_rho
     factor = problem.factor
-    if factor is not None and not _low_rank(p, factor.shape[1]):
+    if factor is not None and not _low_rank(sf.p, factor.shape[1]):
         factor = None
+    results: list = [None] * lams.size
+    try:
+        beta0 = linalg.spd_solve(linalg.spd_factor(sf.a_rho), sf.b)
+    except NotPositiveDefinite as exc:
+        if problem.ridge_rho > 0 and np.any(lams > 0):
+            raise
+        beta0 = linalg.pseudo_inverse(sf.a_rho) @ sf.b
+        resid = float(np.abs(sf.a_rho @ beta0 - sf.b).max())
+        for j, lam in enumerate(lams.tolist()):
+            if lam == 0.0:
+                # the feasible set is the single point A_rho^{-1} b
+                results[j] = SolverFailure(
+                    "lambda = 0 requires a positive-definite constraint matrix")
+                results[j].__cause__ = exc
+            elif resid > lam * (1 + 1e-9) + 1e-12:
+                results[j] = InfeasibleProblem(
+                    f"singular constraint matrix: least-norm residual {resid:.3e} "
+                    f"exceeds lambda {lam:.3e}")
+    else:
+        for j in np.flatnonzero(lams == 0.0):  # no interior to walk
+            results[j] = _solution(sf, beta0, 0, 0.0, OPTIMAL)
+    members = [j for j, result in enumerate(results) if result is None]
+    size = _group_size(sf.p, factor)
+    for start in range(0, len(members), size):
+        group = members[start : start + size]
+        for j, sol in zip(group, _interior_point(sf, beta0, lams[group], config, factor,
+                                                  problem.ridge_rho)):
+            results[j] = sol
+    return results
 
-    if lam == 0.0:
-        # Feasible set is the single point A_rho^{-1} b; no interior to walk.
-        try:
-            beta = linalg.spd_solve(linalg.spd_factor(sf.a_rho), sf.b)
-        except NotPositiveDefinite as exc:
-            raise SolverFailure(
-                "lambda = 0 requires a positive-definite constraint matrix"
-            ) from exc
-        return _solution(sf, beta, 0, 0.0, OPTIMAL)
 
-    beta = _initial_beta(sf, rho, lam)
-    u = np.abs(beta) + 1.0
-    h = sf.rhs()
+def _group_size(p: int, factor) -> int:
+    """How many members iterate together: their Newton systems (a p x p factor,
+    or V = [U, W U] and the capacitance LU) fit in _GROUP_BYTES."""
+    k = 0 if factor is None else factor.shape[1]
+    floats = p * p if factor is None else 2 * p * k + 5 * k * k
+    return max(1, _GROUP_BYTES // (8 * floats))
+
+
+def _interior_point(sf: StandardFormLp, beta0, lams, config, factor, rho) -> list:
+    """Mehrotra predictor-corrector iterations from beta0, one member per lambda > 0.
+
+    Every array holds one row per member still running. The iterate updates,
+    residuals and step lengths act on all rows at once; products with A_rho,
+    dot products and the Newton systems are taken member by member, so each
+    member rounds exactly as it would alone. A member leaves when it
+    certifies or fails.
+    """
+    p = sf.p
     m = sf.n_constraints
-    # slacks s and duals z are the rows of one array, so one pass finds both step lengths
-    sz = np.empty((2, m))
-    s, z = sz
-    s[:] = np.maximum(h - sf.apply_g(beta, u), 1e-10 * (1.0 + lam))
-    z[:] = 1.0
+    out = [None] * lams.size
+    ids = np.arange(lams.size)
+    beta = np.tile(beta0, (lams.size, 1))
+    u = np.abs(beta) + 1.0
+    h = sf.rhs(lams)
+    # per member, slacks s and duals z are the rows of one (2, m) block, so one pass
+    # finds both step lengths
+    sz = np.empty((lams.size, 2, m))
+    sz[:, 0] = np.maximum(h - sf.apply_g(beta, u), 1e-10 * (1.0 + lams)[:, None])
+    sz[:, 1] = 1.0
+    h_scale = 1.0 + np.abs(h).max(axis=1)
+    resid_cert = lams * (1 + 1e-6) + 1e-8
+    fallbacks = np.zeros(lams.size, dtype=int)
 
-    h_scale = 1.0 + float(np.abs(h).max())
-    resid_cert = lam * (1 + 1e-6) + 1e-8
-    gap_rel = np.inf
-    status = ITERATION_LIMIT
-    iterations = 0
-    fallbacks = 0
+    def finish(leaving, iterations, status, gap_rel):
+        for i in np.flatnonzero(leaving):
+            out[ids[i]] = _solution(sf, beta[i], iterations, float(gap_rel[i]), status,
+                                    factor is not None, int(fallbacks[i]))
 
-    for _ in range(config.max_iter):
-        ab = sf.a_rho @ beta
+    for iterations in range(config.max_iter):
+        s, z = sz[:, 0], sz[:, 1]
+        ab = sf.times_a(beta)
         rp = sf.apply_g(beta, u, ab) + s - h
         rd_beta, gt_u = sf.apply_gt(z)
         rd_u = 1.0 + gt_u  # c = (0, 1)
-        comp = float(s @ z)
-        gap_rel = comp / (1.0 + abs(float(u.sum())))
-        # the cheap gap test first: the residual norms are only needed near the end
-        if (
-            gap_rel <= config.gap_tol
-            and float(np.abs(rp).max()) / h_scale <= FEAS_TOL
-            and max(float(np.abs(rd_beta).max()), float(np.abs(rd_u).max())) / 2.0 <= FEAS_TOL
-            and float(np.abs(ab - sf.b).max()) <= resid_cert
-        ):
-            status = OPTIMAL
-            break
+        comp = [float(si @ zi) for si, zi in zip(s, z)]
+        gap_rel = np.array(comp) / (1.0 + np.abs(u.sum(axis=1)))
+        done = (
+            (gap_rel <= config.gap_tol)
+            & (np.abs(rp).max(axis=1) / h_scale <= FEAS_TOL)
+            & (np.maximum(np.abs(rd_beta).max(axis=1), np.abs(rd_u).max(axis=1)) / 2.0
+               <= FEAS_TOL)
+            & (np.abs(ab - sf.b).max(axis=1) <= resid_cert)
+        )
+        # Certified members take no Newton step, nor do members whose Newton system failed.
+        failed = np.zeros(ids.size, dtype=bool)
+
+        def stepping():
+            return np.flatnonzero(~(done | failed))
 
         d = z / s
-        d1, d2, d3, d4 = d.reshape(4, p)
+        d1, d2, d3, d4 = (d.reshape(-1, 4, p)[:, k] for k in range(4))
         e = d1 + d2
         f = d1 - d2
         f_e = f / e
         sz_prod = s * z
         d_rp = d * rp
         neg_s, neg_rp, neg_rd_beta, neg_rd_u = -s, -rp, -rd_beta, -rd_u
+        w, dd = d3 + d4, 4.0 * d1 * d2 / e
+        newtons = [None] * ids.size
+        for i in stepping():
+            try:
+                newtons[i] = _NewtonSystem(sf.a_rho, w[i], dd[i], factor, rho)
+            except NotPositiveDefinite:  # the dense factor
+                failed[i] = True
 
         def newton_step(rcomp):
-            """Directions (dbeta, du) and the stacked (ds, dz)."""
+            """Directions (dbeta, du) and the stacked (ds, dz); zero dbeta where no step."""
             gt_t_beta, gt_t_u = sf.apply_gt(d_rp - rcomp / s)
             r2 = neg_rd_u - gt_t_u
-            dbeta = newton.solve(neg_rd_beta - gt_t_beta - f_e * r2)
+            rhs = neg_rd_beta - gt_t_beta - f_e * r2
+            dbeta = np.zeros_like(rhs)
+            for i in stepping():
+                try:
+                    dbeta[i] = newtons[i].solve(rhs[i])
+                except NotPositiveDefinite:  # the dense factor, as a fallback
+                    failed[i] = True
             du = (r2 - f * dbeta) / e
-            dsz = np.empty((2, m))
-            ds, dz = dsz[0], dsz[1]
-            np.subtract(neg_rp, sf.apply_g(dbeta, du), out=ds)  # ds = -rp - G (dbeta, du)
-            np.divide(rcomp + z * ds, neg_s, out=dz)  # dz = -(rcomp + z ds) / s
+            dsz = np.empty((ids.size, 2, m))
+            np.subtract(neg_rp, sf.apply_g(dbeta, du), out=dsz[:, 0])  # ds = -rp - G (dbeta, du)
+            np.divide(rcomp + z * dsz[:, 0], neg_s, out=dsz[:, 1])  # dz = -(rcomp + z ds) / s
             return dbeta, du, dsz
 
-        try:
-            newton = _NewtonSystem(sf.a_rho, d3 + d4, 4.0 * d1 * d2 / e, factor, rho)
-            mu = comp / m
-            _, _, dsz_a = newton_step(sz_prod)
-            trial = sz + _step_lengths(sz, dsz_a)[:, None] * dsz_a
-            mu_aff = float(trial[0] @ trial[1]) / m
-            sigma = min(1.0, max(0.0, (mu_aff / max(mu, 1e-300)) ** 3))
+        _, _, dsz_a = newton_step(sz_prod)
+        trial = sz + _step_lengths(sz, dsz_a)[:, :, None] * dsz_a
+        sigma_mu = np.zeros(ids.size)
+        for i in stepping():  # in Python floats: numpy's power rounds differently
+            mu = comp[i] / m
+            mu_aff = float(trial[i, 0] @ trial[i, 1]) / m
+            sigma_mu[i] = min(1.0, max(0.0, (mu_aff / max(mu, 1e-300)) ** 3)) * mu
+        dbeta, du, dsz = newton_step(sz_prod + dsz_a[:, 0] * dsz_a[:, 1] - sigma_mu[:, None])
 
-            ds_a, dz_a = dsz_a[0], dsz_a[1]
-            dbeta, du, dsz = newton_step(sz_prod + ds_a * dz_a - sigma * mu)
-        except NotPositiveDefinite:  # the dense factor, built first or as a fallback
-            status = NUMERICAL_FAILURE
-            fallbacks += factor is not None
-            break
-        fallbacks += newton.fell_back
+        fallbacks += [factor is not None if bad else newton is not None and newton.fell_back
+                      for bad, newton in zip(failed, newtons)]
         alphas = _STEP_FRACTION * _step_lengths(sz, dsz)
-        alpha_p, alpha_d = alphas.tolist()
-        if alpha_p < 1e-10 and alpha_d < 1e-10:
-            status = NUMERICAL_FAILURE
-            break
-
-        beta += alpha_p * dbeta
-        u += alpha_p * du
-        sz += alphas[:, None] * dsz
-        iterations += 1
-
-    return _solution(sf, beta, iterations, float(gap_rel), status, factor is not None, fallbacks)
+        failed |= ~done & (alphas[:, 0] < 1e-10) & (alphas[:, 1] < 1e-10)
+        leaving = done | failed
+        if leaving.any():
+            finish(done, iterations, OPTIMAL, gap_rel)
+            finish(failed, iterations, NUMERICAL_FAILURE, gap_rel)
+            ids, beta, u, sz, h, h_scale, resid_cert, fallbacks, gap_rel, alphas, dbeta, du, dsz = (
+                a[~leaving] for a in (ids, beta, u, sz, h, h_scale, resid_cert, fallbacks, gap_rel,
+                                      alphas, dbeta, du, dsz))
+            if not ids.size:
+                break
+        beta += alphas[:, :1] * dbeta
+        u += alphas[:, :1] * du
+        sz += alphas[:, :, None] * dsz
+    else:
+        finish(np.ones(ids.size, dtype=bool), config.max_iter, ITERATION_LIMIT, gap_rel)
+    return out
 
 
 def support(solution: LpSolution) -> np.ndarray:

@@ -7,13 +7,22 @@ Every LAPACK call in the package is made here, directly (scipy.linalg's
 wrappers cost more than the small factorizations the solver repeats), but
 one: simulation.sample factors Sigma with np.linalg.cholesky, as numpy and
 SciPy ship separate OpenBLAS builds and moving it could change seeded draws.
-SciPy is imported on the first call, so predict and screen never load it.
+SciPy's LAPACK extension module is loaded on the first call, by itself and
+without the `scipy.linalg` package (see :func:`_lapack`), so predict and
+screen load no SciPy and the solving commands only that one module.
 
 All tolerances are relative to the matrix max-norm so the checks are
 scale-free.
 """
 
 from __future__ import annotations
+
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 
 import numpy as np
 
@@ -22,6 +31,8 @@ from .errors import DimensionMismatch, NonConvergence, NotPositiveDefinite
 SYMMETRY_RTOL = 1e-10
 # pseudo_inverse treats eigenvalues with |w_i| <= RANK_TOL * max|w| as zero.
 RANK_TOL = 1e-10
+_FLAPACK = "scipy.linalg._flapack"
+_LOAD_LOCK = threading.Lock()
 
 
 def as_matrix(a, name="matrix"):
@@ -55,10 +66,40 @@ def check_symmetric(a, name="matrix"):
     return 0.5 * (m + m.T)
 
 
+@functools.cache
 def _lapack():
-    from scipy.linalg import lapack  # loads SciPy once; later calls find it in sys.modules
+    """SciPy's LAPACK extension module, the one ``scipy.linalg.lapack`` re-exports.
 
-    return lapack
+    It is loaded by itself from SciPy's package directory, which takes
+    milliseconds where importing ``scipy.linalg`` takes a third of a second.
+    A copy already in sys.modules is reused; where the direct load fails (on
+    Windows, SciPy's ``__init__`` sets up the DLL paths) it comes through
+    ``scipy.linalg`` after all.
+    """
+    with _LOAD_LOCK:  # simulate's replication threads may ask at the same time
+        loaded = sys.modules.get(_FLAPACK)
+        if loaded is not None:
+            return loaded
+        try:
+            return _load_flapack()
+        except (ImportError, OSError):
+            from scipy.linalg import lapack
+
+            return lapack
+
+
+def _load_flapack():
+    scipy_spec = importlib.util.find_spec("scipy")  # finds the package without importing it
+    if scipy_spec is None:
+        raise ImportError("SciPy is not installed")
+    directories = [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, directories)
+    if spec is None:
+        raise ImportError(f"no {_FLAPACK} extension in {directories}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module  # so a later `import scipy.linalg` shares it
+    return module
 
 
 def spd_factor(a):

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import fit_lpd_from_moments, predict
+# `fit_lpd_from_moments` is no longer called here; it stays importable as
+# lpd.model_selection.fit_lpd_from_moments, the name perfbench/spans.py traces.
+from .classifier import fit_lpd_from_moments, fit_lpd_path, predict  # noqa: F401
 from .errors import DegenerateDelta, SolverError, SolverFailure, TooFewSamplesPerClass
 from .stats import LabeledDataset, TwoSampleMoments, compute_moments
 
@@ -89,14 +91,11 @@ def cross_validate(data: LabeledDataset, plan: CvPlan) -> CvResult:
     for fold in range(plan.folds):
         train = data.subset(np.flatnonzero(fold_ids != fold))
         val = data.subset(np.flatnonzero(fold_ids == fold))
-        moments = compute_moments(train)
-        for j, lam in enumerate(grid):
-            try:
-                model = fit_lpd_from_moments(moments, float(lam))
-            except SolverError as exc:
-                failures.setdefault(j, []).append((fold, str(exc)))
-                continue
-            counts[j] += int(np.sum(predict(model, val.features) == val.labels))
+        for j, fit in enumerate(fit_lpd_path(compute_moments(train), grid)):
+            if isinstance(fit, SolverError):
+                failures.setdefault(j, []).append((fold, str(fit)))
+            else:
+                counts[j] += int(np.sum(predict(fit, val.features) == val.labels))
 
     eligible = {float(grid[j]): counts[j] for j in range(grid.size) if j not in failures}
     if not eligible:

@@ -74,6 +74,38 @@ class TestFitLpd:
         assert "gap 3.50e-04 after 100 iterations" in message
 
 
+class TestFitLpdPath:
+    """fit_lpd_path gives, lambda by lambda, what fit_lpd_from_moments gives or raises."""
+
+    def test_models_equal_single_fits(self):
+        import lpd.classifier as classifier
+
+        moments = compute_moments(random_binary(np.random.default_rng(21), 30, 30, 12, shift=1.0))
+        lambdas = [0.9, 0.4, 0.2, 0.1, 0.05]
+        path = classifier.fit_lpd_path(moments, lambdas, ridge_rho=0.3, threshold=0.25)
+        for lam, model in zip(lambdas, path):
+            single = classifier.fit_lpd_from_moments(moments, lam, ridge_rho=0.3, threshold=0.25)
+            assert model.beta.tobytes() == single.beta.tobytes()
+            assert (model.lam, model.ridge_rho, model.threshold) == (lam, 0.3, 0.25)
+            assert model.metadata == single.metadata
+
+    def test_failures_are_returned_with_the_raised_message(self):
+        import lpd.classifier as classifier
+        from lpd.errors import SolverFailure
+        from lpd.l1solver import SolverConfig
+
+        moments = compute_moments(random_binary(np.random.default_rng(22), 20, 20, 6, shift=1.0))
+        config = SolverConfig(max_iter=2)
+        lambdas = [0.3, 0.1]
+        path = classifier.fit_lpd_path(moments, lambdas, config)
+        for lam, failure in zip(lambdas, path):
+            assert isinstance(failure, SolverFailure)
+            with pytest.raises(SolverFailure) as raised:
+                classifier.fit_lpd_from_moments(moments, lam, config)
+            assert str(failure) == str(raised.value)
+        assert classifier.fit_lpd_path(moments, []) == []
+
+
 class TestPredict:
     def test_large_irrelevant_coordinate_ignored(self):
         model = LpdModel(beta=[1.0, 0.0], mu_hat=[0.0, 0.0])

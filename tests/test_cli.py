@@ -265,6 +265,27 @@ class TestScreen:
         predicted = [int(r.split(",")[1]) for r in rows]
         assert predicted == [1] * 12 + [2] * 12
 
+    def test_unwritable_index_map_leaves_no_screened_file(self, tmp_path, monkeypatch, capsys):
+        """The error names the --indices-out path given, and --out is not left behind."""
+        monkeypatch.chdir(tmp_path)
+        write_separable(tmp_path / "sep.csv", np.random.default_rng(0), p=5)
+        assert main(["screen", "--data", "sep.csv", "--top-k", "2", "--out", "s.csv",
+                     "--indices-out", "nodir/k.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "lpd: data error: [Errno 2] No such file or directory: 'nodir/k.csv'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sep.csv"]
+
+    def test_index_map_that_cannot_be_renamed_into_place_leaves_no_new_file(self, tmp_path):
+        """--indices-out names a directory: both files are staged, the rename fails,
+        and the screened file renamed just before it is removed again."""
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0), p=5)
+        (tmp_path / "k").mkdir()
+        assert main(["screen", "--data", str(data), "--top-k", "2", "--out",
+                     str(tmp_path / "s.csv"), "--indices-out", str(tmp_path / "k")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k", "sep.csv"]
+        assert not any((tmp_path / "k").iterdir())
+
     def test_screen_requires_some_action(self, tmp_path):
         data = tmp_path / "toy.csv"
         write_toy_1d(data)

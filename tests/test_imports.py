@@ -1,9 +1,12 @@
 """Commands load only what they use.
 
-SciPy costs about half a second to import, and only the solver (LAPACK) and
-the simulation's error rates (`ndtr`) need it. `import lpd.cli`, `lpd
-predict` and `lpd screen` must leave no `scipy` module loaded; a stray
-top-level import would put the cost back on every job.
+Importing SciPy's `scipy.linalg` or `scipy.special` costs about a third of a
+second. `import lpd.cli`, `lpd predict` and `lpd screen` must leave no
+`scipy` module loaded. `lpd train`, `lpd cv` and `lpd simulate` solve LPs,
+so they load SciPy's LAPACK extension module, `scipy.linalg._flapack`, but
+by itself: never the `scipy.linalg` package or `scipy.special` (the
+simulation's normal CDF is `math.erfc`). A stray top-level import would put
+the cost back on every job.
 """
 
 import os
@@ -32,9 +35,13 @@ assert scipy_modules() == [], scipy_modules()
 assert main(["screen", "--data", data, "--top-k", "2", "--var-min", "0.01", "--var-max", "100",
              "--out", screened, "--indices-out", screened + ".idx"]) == 0
 assert scipy_modules() == [], scipy_modules()
-# The check can see SciPy: training solves an LP, and that loads it.
 assert main(["train", "--data", screened, "--lambda", "0.5", "--out", model + ".2"]) == 0
-assert "scipy.linalg" in scipy_modules()
+assert main(["cv", "--data", screened, "--folds", "2", "--grid-size", "3",
+             "--out", screened + ".cv"]) == 0
+assert main(["simulate", "--model-id", "3", "--p", "6", "--s0", "2", "--n1", "10", "--n2", "10",
+             "--reps", "1", "--folds", "2", "--grid-size", "3", "--out", screened + ".sim"]) == 0
+# The check can see SciPy: the solves loaded its LAPACK extension, and only that.
+assert scipy_modules() == ["scipy.linalg._flapack"], scipy_modules()
 """
 
 

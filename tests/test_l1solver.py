@@ -377,3 +377,44 @@ class TestDeskStalls:
         if out.returncode != 0 or float(out.stdout.split()[0]) != lam:
             pytest.fail(f"the desk problem was not rebuilt: {out.stdout}{out.stderr}")
         assert out.stdout.split()[1] == OPTIMAL
+
+
+# The same desk problem solved over its whole default grid by solve_grid; prints
+# lambda j and every member's status.
+_DESK_GRID = """
+import sys
+import numpy as np
+from lpd.classifier import auto_ridge
+from lpd.l1solver import LpProblem, solve_grid
+from lpd.model_selection import default_lambda_grid
+from lpd.simulation import SimulationSpec, build_model, sample
+from lpd.stats import compute_moments
+
+seed, rep, j = map(int, sys.argv[1:])
+spec = SimulationSpec(model_id=3, p=100, reps=3, seed=seed)
+rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(spec.reps)[rep])
+moments = compute_moments(sample(build_model(spec, rng), spec, rng))
+grid = default_lambda_grid(moments, 20)
+members = solve_grid(LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=float(grid[0]),
+                               ridge_rho=auto_ridge(moments.p, moments.n1 + moments.n2),
+                               factor=moments.factor), grid)
+print(repr(float(grid[j])), " ".join(m.status for m in members))
+"""
+
+
+@pytest.mark.parametrize("seed, rep, j, lam", [
+    (2051437826, 1, 19, 0.0218165375782904),
+    (887978162, 0, 16, 0.03669232276568325),
+])
+def test_desk_stall_is_the_same_inside_its_grid(seed, rep, j, lam):
+    """Solved with its whole 20-point grid, the TestDeskStalls lambda still stops at the
+    iteration limit, and every other member certifies: the batch changes no member."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(lpd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _DESK_GRID, str(seed), str(rep), str(j)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    printed_lam, *statuses = out.stdout.split()
+    assert float(printed_lam) == lam
+    assert statuses == [OPTIMAL] * j + [ITERATION_LIMIT] + [OPTIMAL] * (19 - j)

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lpd import linalg
 from lpd.errors import DimensionMismatch, NotPositiveDefinite
 from lpd.linalg import (
     cholesky_solve,
@@ -137,3 +143,58 @@ class TestPseudoInverse:
 
     def test_zero_matrix(self):
         assert_allclose(pseudo_inverse(np.zeros((3, 3))), np.zeros((3, 3)))
+
+
+# Factor and solve with SciPy's LAPACK extension loaded directly, then again through
+# the `scipy.linalg` fallback, in one fresh process.
+_LOADERS = """
+import sys
+import numpy as np
+from lpd import linalg
+
+def results():
+    rng = np.random.default_rng(0)
+    out = []
+    for p in (1, 3, 40, 130):
+        m = rng.standard_normal((p, p))
+        b = rng.standard_normal((p, 2))
+        factor = linalg.spd_factor(m @ m.T + p * np.eye(p))
+        out += [factor[0].tobytes(), linalg.spd_solve(factor, b).tobytes(),
+                linalg.spd_solve(factor, b[:, 0]).tobytes(),
+                linalg.lu_solve(linalg.lu_factor(m), b).tobytes()]
+    return out
+
+direct = results()
+assert linalg._lapack().__name__ == "scipy.linalg._flapack"
+assert "scipy.linalg" not in sys.modules
+
+def unavailable():
+    raise ImportError("forced")
+
+linalg._lapack.cache_clear()
+del sys.modules["scipy.linalg._flapack"]
+linalg._load_flapack = unavailable
+fallback = results()
+assert linalg._lapack().__name__ == "scipy.linalg.lapack", linalg._lapack().__name__
+assert fallback == direct
+"""
+
+
+class TestLapackLoader:
+    def test_fallback_loader_gives_the_same_bits(self):
+        env = dict(os.environ)
+        src = str(Path(linalg.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", _LOADERS], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+
+    def test_a_loaded_copy_is_reused(self, monkeypatch):
+        """Here `scipy.linalg` is loaded already; its extension module is the one used."""
+        monkeypatch.setattr(linalg, "_load_flapack", None)  # would fail if called
+        linalg._lapack.cache_clear()
+        try:
+            assert linalg._lapack() is sys.modules["scipy.linalg._flapack"]
+            assert linalg._lapack().dpotrf is scipy.linalg.lapack.dpotrf
+        finally:
+            linalg._lapack.cache_clear()

@@ -115,14 +115,13 @@ class TestCrossValidate:
 
     def test_failed_lambda_marked_ineligible(self, monkeypatch):
         data = separable_data(np.random.default_rng(11), gap=25.0)
-        real_fit = model_selection.fit_lpd_from_moments
+        real_path = model_selection.fit_lpd_path
 
-        def failing_fit(moments, lam, config=None, ridge_rho=None, threshold=0.0):
-            if lam == 0.1:
-                raise SolverFailure("injected failure")
-            return real_fit(moments, lam, config, ridge_rho, threshold)
+        def failing_path(moments, lambdas, *rest):
+            return [SolverFailure("injected failure") if lam == 0.1 else fit
+                    for lam, fit in zip(lambdas, real_path(moments, lambdas, *rest))]
 
-        monkeypatch.setattr(model_selection, "fit_lpd_from_moments", failing_fit)
+        monkeypatch.setattr(model_selection, "fit_lpd_path", failing_path)
         result = cross_validate(data, CvPlan(folds=2, lambda_grid=[0.2, 0.1], seed=1))
         # 0.1 would win the tie-break, but its failures make it ineligible
         assert result.chosen_lambda == 0.2
@@ -131,10 +130,10 @@ class TestCrossValidate:
     def test_all_lambdas_failing_raises(self, monkeypatch):
         data = separable_data(np.random.default_rng(12))
 
-        def always_fail(*args, **kwargs):
-            raise SolverFailure("injected")
+        def always_fail(moments, lambdas, *rest):
+            return [SolverFailure("injected") for _ in lambdas]
 
-        monkeypatch.setattr(model_selection, "fit_lpd_from_moments", always_fail)
+        monkeypatch.setattr(model_selection, "fit_lpd_path", always_fail)
         with pytest.raises(SolverError):
             cross_validate(data, CvPlan(folds=2, lambda_grid=[0.2], seed=0))
 

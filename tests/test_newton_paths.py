@@ -7,6 +7,7 @@ checked against the dense matrix, and sent back to the dense factor when the
 check fails. Every property here is run on both paths.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpd import l1solver, linalg
+from lpd.classifier import auto_ridge
 from lpd.errors import DimensionMismatch, NotPositiveDefinite
 from lpd.l1solver import NUMERICAL_FAILURE, OPTIMAL, LpProblem, solve
 from lpd.stats import LabeledDataset, compute_moments
@@ -211,3 +213,116 @@ class TestPathChoice:
         sigma, factor, b, rho = wide_sample(7, 21, 10)
         with pytest.raises(DimensionMismatch):
             LpProblem(A=sigma, b=b, lam=0.1, factor=factor[:-1])
+
+
+def desk_fold(p, n_per_class, seed):
+    """The moments of one 5-fold CV training split of an AR(1) sample (the
+    `simulate --model-id 3` design) and the default 20-point grid of the whole sample."""
+    from lpd.model_selection import default_lambda_grid, make_folds
+    from lpd.simulation import SimulationSpec, build_model, sample
+
+    spec = SimulationSpec(model_id=3, p=p, n1=n_per_class, n2=n_per_class, seed=seed)
+    rng = np.random.default_rng(seed)
+    data = sample(build_model(spec, rng), spec, rng)
+    grid = default_lambda_grid(compute_moments(data), 20)
+    folds = make_folds(data, 5, seed)
+    moments = compute_moments(data.subset(np.flatnonzero(folds != 0)))
+    return moments, grid
+
+
+def grid_problem(moments, lam=1.0):
+    """The l1 program of the moments with the default ridge, as the classifier builds it."""
+    return LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=lam,
+                     ridge_rho=auto_ridge(moments.p, moments.n1 + moments.n2),
+                     factor=moments.factor)
+
+
+def assert_same_solution(member, single):
+    assert member.beta.tobytes() == single.beta.tobytes()
+    for name in ("status", "iterations", "duality_gap", "max_residual", "objective", "low_rank",
+                 "fallbacks"):
+        assert getattr(member, name) == getattr(single, name), name
+
+
+class TestSolveGrid:
+    """solve_grid runs a lambda grid as one batch; every member is bit-identical to
+    solve at its lambda, however the members are grouped."""
+
+    @staticmethod
+    @functools.cache
+    def single_solves(p, n_per_class):
+        moments, grid = desk_fold(p, n_per_class, seed=3)
+        return moments, grid, [solve(grid_problem(moments, lam)) for lam in grid]
+
+    @pytest.mark.parametrize("group_bytes", [1, l1solver._GROUP_BYTES, 1 << 40])
+    @pytest.mark.parametrize("p, n_per_class, low_rank", [(100, 200, False), (300, 30, True)])
+    def test_members_equal_single_solves(self, monkeypatch, p, n_per_class, low_rank,
+                                         group_bytes):
+        moments, grid, singles = self.single_solves(p, n_per_class)
+        monkeypatch.setattr(l1solver, "_GROUP_BYTES", group_bytes)
+        members = l1solver.solve_grid(grid_problem(moments), grid)
+        assert len(members) == grid.size
+        for member, single in zip(members, singles):
+            assert_same_solution(member, single)
+        assert {s.low_rank for s in singles} == {low_rank}
+        if low_rank:  # some member takes the dense fallback in some iteration
+            assert max(s.fallbacks for s in singles) > 0
+
+    def test_permuting_the_grid_permutes_the_results(self):
+        moments, grid = desk_fold(60, 40, seed=5)
+        perm = np.random.default_rng(5).permutation(grid.size)
+        base = l1solver.solve_grid(grid_problem(moments), grid)
+        moved = l1solver.solve_grid(grid_problem(moments), grid[perm])
+        for j, member in zip(perm, moved):
+            assert_same_solution(member, base[j])
+
+    def test_infeasible_only_below_the_least_norm_residual(self):
+        """rho = 0 and a singular A: the members whose lambda is below the least-norm
+        residual are InfeasibleProblem, lambda = 0 is a SolverFailure, and the rest
+        solve as solve does."""
+        from lpd.errors import InfeasibleProblem, SolverFailure
+
+        rng = np.random.default_rng(2)
+        u = rng.standard_normal((8, 3))
+        a = u @ u.T
+        b = rng.standard_normal(8)
+        resid = float(np.abs(a @ (linalg.pseudo_inverse(a) @ b) - b).max())
+        grid = resid * np.array([3.0, 1.5, 0.9, 0.5, 0.0, 2.0])
+        members = l1solver.solve_grid(LpProblem(A=a, b=b, lam=1.0), grid)
+        for lam, member in zip(grid, members):
+            if lam == 0.0:
+                assert isinstance(member, SolverFailure)
+                expected = SolverFailure
+            elif lam < resid:
+                assert isinstance(member, InfeasibleProblem)
+                expected = InfeasibleProblem
+            else:
+                assert_same_solution(member, solve(LpProblem(A=a, b=b, lam=lam)))
+                continue
+            with pytest.raises(expected) as single:
+                solve(LpProblem(A=a, b=b, lam=lam))
+            assert str(member) == str(single.value)
+
+    def test_lambda_zero_member_is_the_direct_solve(self):
+        moments, _ = desk_fold(20, 30, seed=1)
+        member, = l1solver.solve_grid(grid_problem(moments), [0.0])
+        assert_same_solution(member, solve(grid_problem(moments, 0.0)))
+        assert member.iterations == 0
+
+    def test_grid_is_checked(self):
+        moments, grid = desk_fold(20, 30, seed=1)
+        assert l1solver.solve_grid(grid_problem(moments), []) == []
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            l1solver.solve_grid(grid_problem(moments), [0.1, -0.1])
+
+    def test_iteration_limit_member_keeps_its_gap(self):
+        """With a 3-iteration budget every member stops at the limit, and reports the
+        gap of its own last iterate, as solve does."""
+        from lpd.l1solver import SolverConfig
+
+        moments, grid = desk_fold(40, 30, seed=4)
+        config = SolverConfig(max_iter=3)
+        members = l1solver.solve_grid(grid_problem(moments), grid[::4], config)
+        for lam, member in zip(grid[::4], members):
+            assert member.status == "iteration_limit"
+            assert_same_solution(member, solve(grid_problem(moments, lam), config))

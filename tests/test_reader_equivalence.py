@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from lpd import dataio
 from lpd.dataio import DataFileSchema, load_dataset, load_features
+from lpd.errors import NonFiniteValue
 from lpd.stats import LabeledDataset
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -53,7 +54,8 @@ def doubles(fmt):
     return "".join(",".join(fmt(v) for v in row) + "\n" for row in values)
 
 
-# name -> (file text or bytes, schema options, whether the np.loadtxt pass reads it)
+# name -> (file text or bytes, schema options, whether the np.loadtxt pass decides it:
+# reads it, or names its first non-finite value without a second parse)
 CASES = {
     "%.17g doubles": (doubles(lambda v: "%.17g" % v), {}, True),
     "repr doubles": (doubles(lambda v: repr(float(v))), {}, True),
@@ -77,9 +79,9 @@ CASES = {
     "blank lines only": ("\n\r\n\n", {}, False),
     "whitespace-only line": ("A,1,2\n  \nB,3,4\n", {}, False),
     "empty cell": ("A,1,2\nB,,4\n", {}, False),
-    "nan": ("A,1,2\nB,nan,4\n", {}, False),
-    "inf": ("A,1,2\nB,3,-inf\n", {}, False),
-    "1e400": ("A,1,2\nB,1e400,4\n", {}, False),
+    "nan": ("A,1,2\nB,nan,4\n", {}, True),
+    "inf": ("A,1,2\nB,3,-inf\n", {}, True),
+    "1e400": ("A,1,2\nB,1e400,4\n", {}, True),
     "1_0": ("A,1_0,2\nB,3,4\n", {}, False),
     "arabic-indic digit": ("A,\u0661,2\nB,3,4\n", {}, False),
     "BOM": ("\ufeff1,2\n3,4\n", {"label_column": 1}, False),
@@ -111,10 +113,12 @@ def test_named_case(tmp_path, name):
     schema = DataFileSchema(**options)
     assert_same(path, schema)
     try:
-        read = dataio._loadtxt_rows(path, schema, schema.label_column)
+        decided = dataio._loadtxt_rows(path, schema, schema.label_column) is not None
     except ValueError:
-        read = None
-    assert (read is not None) == fast
+        decided = False
+    except NonFiniteValue:
+        decided = True
+    assert decided == fast
 
 
 @pytest.mark.parametrize("name", ["data.csv.gz", "data.bz2", "data.xz"])
@@ -123,6 +127,40 @@ def test_compressed_extension_is_read_as_text(tmp_path, name):
     path = write(tmp_path, "A,1,2\nB,3,4\n", name)
     assert_same(path, DataFileSchema())
     assert load_dataset(path).features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+@pytest.mark.parametrize("layout", ["plain", "header", "blank lines"])
+@pytest.mark.parametrize("where", [0, 3, 5])
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_nonfinite_value_named_without_a_second_parse(tmp_path, monkeypatch, labeled, layout,
+                                                      where, value):
+    """The np.loadtxt pass reads the whole file; the first non-finite value is then
+    named exactly as the exact reader names it, and the exact reader never runs."""
+    rows = [["AB"[i % 2]] * labeled + [f"{i}.5", str(-i), "7e-3"] for i in range(6)]
+    rows[where][labeled + where % 3] = value
+    lines = [",".join(row) for row in rows]
+    if layout == "header":
+        lines.insert(0, ",".join(f"h{j}" for j in range(len(rows[0]))))
+    elif layout == "blank lines":
+        lines = [""] + [line for row in lines for line in (row, "", "")]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    schema = DataFileSchema(has_header=layout == "header")
+    label_column = schema.label_column if labeled else None
+    with pytest.raises(NonFiniteValue) as exact:
+        dataio._exact_rows(path, schema, label_column)
+
+    def second_parse(*args):
+        raise AssertionError("the file was parsed twice")
+
+    monkeypatch.setattr(dataio, "_exact_rows", second_parse)
+    with pytest.raises(NonFiniteValue) as one_pass:
+        if labeled:
+            load_dataset(path, schema)
+        else:
+            load_features(path, schema)
+    assert str(one_pass.value) == str(exact.value)
+    assert f"non-finite value '{value}'" in str(one_pass.value)
 
 
 TOKENS = ["nan", "-inf", "1e400", "1_0", "\u0661", "", "x", "\ufeff1", "  ", '"1"', ' "1"',

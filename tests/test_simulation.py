@@ -14,6 +14,7 @@ from lpd.simulation import (
     SimulationSpec,
     build_model,
     conditional_rate,
+    normal_cdf,
     oracle_rate,
     run_benchmark,
     sample,
@@ -178,6 +179,35 @@ class TestOracleRate:
             upsilon, delta_p = oracle_independence_gap(truth.sigma, truth.mu1 - truth.mu2)
             assert delta_p == pytest.approx(truth.delta_p, rel=1e-8)
             assert ndtr(-0.5 * math.sqrt(delta_p)) <= ndtr(-0.5 * upsilon) + 1e-12
+
+
+class TestNormalCdf:
+    """simulation.normal_cdf is 0.5 erfc(-x / sqrt 2), in place of scipy.special.ndtr."""
+
+    X = np.linspace(-38.0, 8.0, 46001)
+
+    def test_matches_ndtr_to_1e_13_down_to_minus_18(self):
+        x = self.X[self.X >= -18.0]
+        ours = np.array([normal_cdf(v) for v in x])
+        assert np.all(np.abs(ours - ndtr(x)) <= 1e-13 * ndtr(x))
+
+    def test_far_tail(self):
+        """Below -18, rounding -x / sqrt 2 moves erfc by up to 2 t^2 2^-53 (1.6e-13 at
+        t = 26.5), and ndtr itself is off the exact value by up to 2.3e-13 there (mpmath,
+        40 digits); so the two agree to 1e-12. Below about -37.5 ndtr's result is
+        subnormal or 0."""
+        x = self.X[(self.X < -18.0) & (self.X >= -37.5)]
+        ours = np.array([normal_cdf(v) for v in x])
+        assert np.all(np.abs(ours - ndtr(x)) <= 1e-12 * ndtr(x))
+        deep = self.X[self.X < -37.5]
+        assert all(0.0 <= normal_cdf(v) < 1e-306 for v in deep)
+        assert np.all(ndtr(deep) < 1e-306)
+
+    def test_symmetry_and_limits(self):
+        assert normal_cdf(0.0) == 0.5
+        assert normal_cdf(-40.0) == 0.0 and normal_cdf(40.0) == 1.0
+        for v in (0.3, 1.7, 5.0):
+            assert normal_cdf(v) + normal_cdf(-v) == pytest.approx(1.0, abs=1e-16)
 
 
 class TestConditionalRate:
@@ -438,20 +468,20 @@ class TestRefitFailures:
         from lpd.errors import SolverFailure
 
         chosen = []
-        real_cv, real_fit = sim.cross_validate, sim.fit_lpd_from_moments
+        real_cv, real_path = sim.cross_validate, sim.fit_lpd_path
 
         def cv(*args, **kwargs):
             result = real_cv(*args, **kwargs)
             chosen.append(result.chosen_lambda)
             return result
 
-        def fit(moments, lam, *rest):
-            if lam == pick_failing(chosen[-1]):
-                raise SolverFailure(f"injected at lambda={lam!r}")
-            return real_fit(moments, lam, *rest)
+        def path(moments, lambdas, *rest):
+            return [SolverFailure(f"injected at lambda={lam!r}")
+                    if lam == pick_failing(chosen[-1]) else fit
+                    for lam, fit in zip(map(float, lambdas), real_path(moments, lambdas, *rest))]
 
         monkeypatch.setattr(sim, "cross_validate", cv)
-        monkeypatch.setattr(sim, "fit_lpd_from_moments", fit)
+        monkeypatch.setattr(sim, "fit_lpd_path", path)
         return chosen
 
     def test_failed_lambda_skipped_for_lambda_opt(self, monkeypatch):
