@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, EmptySupport, SolverError, SolverFailure, ZeroVariance
-from .l1solver import OPTIMAL, LpProblem, SolverConfig, solve, solve_grid
+from .l1solver import OPTIMAL, LpProblem, solve, solve_grid
 from .stats import LabeledDataset, TwoSampleMoments, compute_moments
 
 
@@ -62,13 +62,6 @@ class LpdModel:
         return self.beta.size
 
 
-def _threshold_from_priors(priors):
-    pi1, pi2 = float(priors[0]), float(priors[1])
-    if pi1 <= 0 or pi2 <= 0:
-        raise ValueError("priors must be positive")
-    return math.log(pi2 / pi1)
-
-
 def auto_ridge(p, n) -> float:
     """Default ridge perturbation sqrt(log p / n)."""
     return math.sqrt(math.log(p) / n)
@@ -100,11 +93,7 @@ def predict(model: LpdModel, x):
 
 
 def fit_lpd_from_moments(
-    moments: TwoSampleMoments,
-    lam: float,
-    config: SolverConfig | None = None,
-    ridge_rho: float | None = None,
-    threshold: float = 0.0,
+    moments: TwoSampleMoments, lam: float, ridge_rho: float | None = None
 ) -> LpdModel:
     """Solve the l1 program at the given moments and package the model.
 
@@ -112,19 +101,13 @@ def fit_lpd_from_moments(
     certificate.
     """
     problem, ridge_rho = _problem(moments, lam, ridge_rho)
-    fit = _certified_model(moments, lam, solve(problem, config), ridge_rho, threshold)
+    fit = _certified_model(moments, lam, solve(problem), ridge_rho)
     if isinstance(fit, SolverError):
         raise fit
     return fit
 
 
-def fit_lpd_path(
-    moments: TwoSampleMoments,
-    lambdas,
-    config: SolverConfig | None = None,
-    ridge_rho: float | None = None,
-    threshold: float = 0.0,
-) -> list:
+def fit_lpd_path(moments: TwoSampleMoments, lambdas, ridge_rho: float | None = None) -> list:
     """:func:`fit_lpd_from_moments` at every lambda of ``lambdas``, by one
     :func:`~lpd.l1solver.solve_grid` call.
 
@@ -136,8 +119,8 @@ def fit_lpd_path(
         return []
     problem, ridge_rho = _problem(moments, lambdas[0], ridge_rho)
     return [sol if isinstance(sol, SolverError)
-            else _certified_model(moments, lam, sol, ridge_rho, threshold)
-            for lam, sol in zip(lambdas, solve_grid(problem, lambdas, config))]
+            else _certified_model(moments, lam, sol, ridge_rho)
+            for lam, sol in zip(lambdas, solve_grid(problem, lambdas))]
 
 
 def _problem(moments, lam, ridge_rho):
@@ -149,7 +132,7 @@ def _problem(moments, lam, ridge_rho):
     return problem, ridge_rho
 
 
-def _certified_model(moments, lam, sol, ridge_rho, threshold):
+def _certified_model(moments, lam, sol, ridge_rho):
     """The model of an optimal solution, or the SolverFailure naming why it is not one."""
     if sol.status != OPTIMAL:
         return SolverFailure(
@@ -159,7 +142,6 @@ def _certified_model(moments, lam, sol, ridge_rho, threshold):
     return LpdModel(
         beta=sol.beta,
         mu_hat=moments.mu_hat,
-        threshold=threshold,
         lam=lam,
         ridge_rho=ridge_rho,
         metadata={
@@ -173,27 +155,13 @@ def _certified_model(moments, lam, sol, ridge_rho, threshold):
     )
 
 
-def fit_lpd(
-    data: LabeledDataset,
-    lam: float,
-    priors=None,
-    estimate_priors: bool = False,
-    ridge_rho: float | None = None,
-) -> LpdModel:
-    """Fit the LPD rule on a binary dataset.
+def fit_lpd(data: LabeledDataset, lam: float, ridge_rho: float | None = None) -> LpdModel:
+    """Fit the LPD rule on a binary dataset at radius ``lam``.
 
-    The threshold is 0 under equal priors. Pass ``priors=(pi1, pi2)`` for
-    known unequal priors, or ``estimate_priors=True`` to use the class
-    frequencies n_k / n; the threshold is then log(pi2 / pi1).
+    The ridge is ``ridge_rho``, or sqrt(log p / n) when None. The threshold
+    is 0, as in the paper: a point goes to class 1 iff (z - mu_hat)' beta >= 0.
     """
-    if priors is not None and estimate_priors:
-        raise ValueError("pass explicit priors or estimate_priors=True, not both")
-    moments = compute_moments(data)
-    if estimate_priors:
-        n = moments.n1 + moments.n2
-        priors = (moments.n1 / n, moments.n2 / n)
-    threshold = _threshold_from_priors(priors) if priors is not None else 0.0
-    return fit_lpd_from_moments(moments, lam, ridge_rho=ridge_rho, threshold=threshold)
+    return fit_lpd_from_moments(compute_moments(data), lam, ridge_rho=ridge_rho)
 
 
 def fit_naive_bayes(data: LabeledDataset) -> LpdModel:

@@ -3,9 +3,11 @@
 Subcommands: train, predict, cv, simulate, screen. Exit codes: 0 success,
 1 usage error, 2 data error, 3 solver failure. All randomness flows from
 --seed flags; repeated runs with identical flags produce byte-identical
-output files. The only environment variable honored is LPD_THREADS, an
-optional worker cap for the simulate command: a positive integer, clamped
-to the CPU count; any other value is a usage error.
+output files at a fixed BLAS thread count (the BLAS splits its sums by
+thread, so another count can move beta in its last bits). The only
+environment variable honored is LPD_THREADS, an optional worker cap for
+the simulate command: a positive integer, clamped to the CPU count; any
+other value is a usage error.
 """
 
 from __future__ import annotations
@@ -151,12 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cross_validate(args, data, moments):
-    """CV over the default grid sized by --grid-size, with --folds and --seed."""
+def _cv_plan(args, moments):
+    """The default grid sized by --grid-size, with --folds and --seed."""
     with _flag_values(args.command):
         grid = default_lambda_grid(moments, args.grid_size)
-        plan = CvPlan(folds=args.folds, lambda_grid=grid, seed=args.seed)
-    return cross_validate(data, plan)
+        return CvPlan(folds=args.folds, lambda_grid=grid, seed=args.seed)
 
 
 def _cmd_train(args):
@@ -168,7 +169,7 @@ def _cmd_train(args):
         "rho_source": "auto" if args.rho is None else "fixed",
     }
     if args.lam == "auto":
-        result = _cross_validate(args, data, moments)
+        result = cross_validate(data, _cv_plan(args, moments), ridge_rho=args.rho)
         lam = result.chosen_lambda
         provenance.update(
             lambda_source="cv", folds=args.folds, grid_size=args.grid_size,
@@ -215,7 +216,7 @@ def _cmd_predict(args):
 
 def _cmd_cv(args):
     data = dataio.load_dataset(args.data, _schema(args))
-    result = _cross_validate(args, data, compute_moments(data))
+    result = cross_validate(data, _cv_plan(args, compute_moments(data)))
     text = dataio.save_cv_table(args.out, result)
     if args.out is None:
         sys.stdout.write(text)

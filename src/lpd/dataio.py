@@ -309,8 +309,9 @@ def load_model(path) -> LpdModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model payload: {exc}") from exc
-    if int(doc.get("p", model.p)) != model.p:
-        raise ParseError(f"{path}: declared p={doc.get('p')} but beta has length {model.p}")
+    declared = doc.get("p")
+    if isinstance(declared, bool) or not isinstance(declared, int) or declared != model.p:
+        raise ParseError(f"{path}: declared p={declared!r} but beta has length {model.p}")
     return model
 
 

@@ -68,6 +68,10 @@ ZERO_FLOOR = 1e-7
 SUPPORT_EPS = 1e-3
 # Scaled primal and dual residual bound an optimal iterate must meet.
 FEAS_TOL = 1e-8
+# Relative complementarity gap an optimal iterate must reach, and the
+# iterations a solve may take before it stops with ITERATION_LIMIT.
+GAP_TOL = 1e-8
+MAX_ITER = 100
 
 
 @dataclass
@@ -111,19 +115,6 @@ class LpProblem:
 
 
 @dataclass
-class SolverConfig:
-    """Interior-point tolerances; all must be positive."""
-
-    gap_tol: float = 1e-8
-    max_iter: int = 100
-
-    def __post_init__(self):
-        for name in ("gap_tol", "max_iter"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass
 class LpSolution:
     """Solver output; ``duality_gap`` is the relative complementarity gap.
 
@@ -153,23 +144,18 @@ class StandardFormLp:
 
     a_rho: np.ndarray
     b: np.ndarray
-    lam: float
 
     @property
     def p(self) -> int:
         return self.b.size
 
     @property
-    def n_vars(self) -> int:
-        return 2 * self.p
-
-    @property
     def n_constraints(self) -> int:
         return 4 * self.p
 
-    def rhs(self, lam=None) -> np.ndarray:
-        """The right-hand side at ``self.lam``, or one row per entry of an array ``lam``."""
-        lam = np.asarray(self.lam if lam is None else lam, dtype=float)[..., None]
+    def rhs(self, lam) -> np.ndarray:
+        """The right-hand side at a scalar ``lam``, or one row per entry of an array ``lam``."""
+        lam = np.asarray(lam, dtype=float)[..., None]
         zeros = np.zeros(lam.shape[:-1] + (2 * self.p,))
         return np.concatenate([zeros, lam - self.b, lam + self.b], axis=-1)
 
@@ -217,7 +203,7 @@ def build_lp(problem: LpProblem) -> StandardFormLp:
     if problem.ridge_rho > 0:
         a_rho = a_rho.copy()
         _diagonal(a_rho)[:] += problem.ridge_rho
-    return StandardFormLp(a_rho=a_rho, b=problem.b.copy(), lam=problem.lam)
+    return StandardFormLp(a_rho=a_rho, b=problem.b.copy())
 
 
 def _diagonal(square):
@@ -347,23 +333,23 @@ class _NewtonSystem:
         return linalg.spd_solve(self.dense, r)
 
 
-def solve(problem: LpProblem, config: SolverConfig | None = None) -> LpSolution:
+def solve(problem: LpProblem) -> LpSolution:
     """Solve the constrained l1 program by the primal-dual interior-point method.
 
     Returns a solution whose status is ``optimal`` only when primal and dual
     feasibility hold within FEAS_TOL, the relative complementarity gap is
-    below gap_tol, and the constraint residual certifies
+    below GAP_TOL, and the constraint residual certifies
     ||A_rho beta - b||_inf <= lam * (1 + 1e-6) + 1e-8. Raises
     InfeasibleProblem when ridge_rho = 0, A is singular, and the least-norm
     residual exceeds lam. The batch of one of :func:`solve_grid`.
     """
-    result = solve_grid(problem, [problem.lam], config)[0]
+    result = solve_grid(problem, [problem.lam])[0]
     if isinstance(result, SolverError):
         raise result
     return result
 
 
-def solve_grid(problem: LpProblem, lambdas, config: SolverConfig | None = None) -> list:
+def solve_grid(problem: LpProblem, lambdas) -> list:
     """:func:`solve` at every lambda of ``lambdas`` (``problem.lam`` is not used).
 
     A_rho, its Cholesky factor and the starting point beta0 = A_rho^{-1} b do
@@ -373,8 +359,6 @@ def solve_grid(problem: LpProblem, lambdas, config: SolverConfig | None = None) 
     :func:`solve` at its lambda. Entry j is that LpSolution, or the
     SolverError :func:`solve` would raise at lambdas[j].
     """
-    if config is None:
-        config = SolverConfig()
     lams = np.asarray(lambdas, dtype=float).reshape(-1)
     if np.any(lams < 0):
         raise ValueError("lam must be >= 0")
@@ -407,7 +391,7 @@ def solve_grid(problem: LpProblem, lambdas, config: SolverConfig | None = None) 
     size = _group_size(sf.p, factor)
     for start in range(0, len(members), size):
         group = members[start : start + size]
-        for j, sol in zip(group, _interior_point(sf, beta0, lams[group], config, factor,
+        for j, sol in zip(group, _interior_point(sf, beta0, lams[group], factor,
                                                   problem.ridge_rho)):
             results[j] = sol
     return results
@@ -421,7 +405,7 @@ def _group_size(p: int, factor) -> int:
     return max(1, _GROUP_BYTES // (8 * floats))
 
 
-def _interior_point(sf: StandardFormLp, beta0, lams, config, factor, rho) -> list:
+def _interior_point(sf: StandardFormLp, beta0, lams, factor, rho) -> list:
     """Mehrotra predictor-corrector iterations from beta0, one member per lambda > 0.
 
     Every array holds one row per member still running. The iterate updates,
@@ -451,7 +435,7 @@ def _interior_point(sf: StandardFormLp, beta0, lams, config, factor, rho) -> lis
             out[ids[i]] = _solution(sf, beta[i], iterations, float(gap_rel[i]), status,
                                     factor is not None, int(fallbacks[i]))
 
-    for iterations in range(config.max_iter):
+    for iterations in range(MAX_ITER):
         s, z = sz[:, 0], sz[:, 1]
         ab = sf.times_a(beta)
         rp = sf.apply_g(beta, u, ab) + s - h
@@ -460,7 +444,7 @@ def _interior_point(sf: StandardFormLp, beta0, lams, config, factor, rho) -> lis
         comp = [float(si @ zi) for si, zi in zip(s, z)]
         gap_rel = np.array(comp) / (1.0 + np.abs(u.sum(axis=1)))
         done = (
-            (gap_rel <= config.gap_tol)
+            (gap_rel <= GAP_TOL)
             & (np.abs(rp).max(axis=1) / h_scale <= FEAS_TOL)
             & (np.maximum(np.abs(rd_beta).max(axis=1), np.abs(rd_u).max(axis=1)) / 2.0
                <= FEAS_TOL)
@@ -531,7 +515,7 @@ def _interior_point(sf: StandardFormLp, beta0, lams, config, factor, rho) -> lis
         u += alphas[:, :1] * du
         sz += alphas[:, :, None] * dsz
     else:
-        finish(np.ones(ids.size, dtype=bool), config.max_iter, ITERATION_LIMIT, gap_rel)
+        finish(np.ones(ids.size, dtype=bool), MAX_ITER, ITERATION_LIMIT, gap_rel)
     return out
 
 

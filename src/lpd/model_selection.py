@@ -77,8 +77,11 @@ def make_folds(data: LabeledDataset, n_folds: int, seed: int) -> np.ndarray:
     return fold_ids
 
 
-def cross_validate(data: LabeledDataset, plan: CvPlan) -> CvResult:
+def cross_validate(data: LabeledDataset, plan: CvPlan, ridge_rho: float | None = None) -> CvResult:
     """Count correct validation classifications for every lambda in the grid.
+
+    Every fold fits at the ridge ``ridge_rho``, or at its own
+    sqrt(log p / n) when None, as :func:`~lpd.classifier.fit_lpd_path` does.
 
     A solver failure at any (fold, lambda) marks that lambda ineligible for
     selection; the failure is recorded in the result rather than dropped.
@@ -91,7 +94,7 @@ def cross_validate(data: LabeledDataset, plan: CvPlan) -> CvResult:
     for fold in range(plan.folds):
         train = data.subset(np.flatnonzero(fold_ids != fold))
         val = data.subset(np.flatnonzero(fold_ids == fold))
-        for j, fit in enumerate(fit_lpd_path(compute_moments(train), grid)):
+        for j, fit in enumerate(fit_lpd_path(compute_moments(train), grid, ridge_rho)):
             if isinstance(fit, SolverError):
                 failures.setdefault(j, []).append((fold, str(fit)))
             else:

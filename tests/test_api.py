@@ -1,5 +1,7 @@
-"""The top-level package exports exactly the API that README.md documents."""
+"""The top-level package exports exactly the API that README.md documents, and
+every `lpd.<module>.<name>` the READMEs name exists."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -22,3 +24,17 @@ def test_all_is_the_documented_api():
     assert sorted(lpd.__all__) == sorted(names)
     for name in names:
         assert getattr(lpd, name) is not None
+
+
+def documented_names():
+    """(module, name) of every `lpd.<module>.<name>` that README.md or perfbench/README.md names."""
+    root = README.parent
+    text = README.read_text() + (root / "perfbench" / "README.md").read_text()
+    return sorted(set(re.findall(r"`lpd\.(\w+)\.(\w+)`", text)))
+
+
+def test_documented_names_exist():
+    names = documented_names()
+    assert ("l1solver", "FEAS_TOL") in names
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"lpd.{module}"), name), f"lpd.{module}.{name}"

@@ -39,28 +39,12 @@ class TestFitLpd:
         model = fit_lpd(random_binary(np.random.default_rng(0), 10, 10, 3), lam=0.5)
         assert model.threshold == 0.0
 
-    def test_explicit_priors_threshold(self):
-        model = fit_lpd(
-            random_binary(np.random.default_rng(1), 10, 10, 3), lam=0.5, priors=(0.25, 0.75)
-        )
-        assert_allclose(model.threshold, np.log(3.0))
-
-    def test_estimated_priors_use_class_frequencies(self):
-        model = fit_lpd(
-            random_binary(np.random.default_rng(2), 30, 10, 3), lam=0.5, estimate_priors=True
-        )
-        assert_allclose(model.threshold, np.log((10 / 40) / (30 / 40)))
-
-    def test_priors_and_estimate_conflict(self):
-        with pytest.raises(ValueError):
-            fit_lpd(toy_1d(), lam=0.5, priors=(0.5, 0.5), estimate_priors=True)
-
     def test_solver_failure_names_status_lambda_and_gap(self, monkeypatch):
         import lpd.classifier as classifier
         from lpd.errors import SolverFailure
         from lpd.l1solver import ITERATION_LIMIT, LpSolution
 
-        def stalls(problem, config=None):
+        def stalls(problem):
             return LpSolution(beta=np.zeros(problem.b.size), objective=0.0, max_residual=1.0,
                               iterations=100, duality_gap=3.5e-4, status=ITERATION_LIMIT)
 
@@ -82,26 +66,26 @@ class TestFitLpdPath:
 
         moments = compute_moments(random_binary(np.random.default_rng(21), 30, 30, 12, shift=1.0))
         lambdas = [0.9, 0.4, 0.2, 0.1, 0.05]
-        path = classifier.fit_lpd_path(moments, lambdas, ridge_rho=0.3, threshold=0.25)
+        path = classifier.fit_lpd_path(moments, lambdas, ridge_rho=0.3)
         for lam, model in zip(lambdas, path):
-            single = classifier.fit_lpd_from_moments(moments, lam, ridge_rho=0.3, threshold=0.25)
+            single = classifier.fit_lpd_from_moments(moments, lam, ridge_rho=0.3)
             assert model.beta.tobytes() == single.beta.tobytes()
-            assert (model.lam, model.ridge_rho, model.threshold) == (lam, 0.3, 0.25)
+            assert (model.lam, model.ridge_rho, model.threshold) == (lam, 0.3, 0.0)
             assert model.metadata == single.metadata
 
-    def test_failures_are_returned_with_the_raised_message(self):
+    def test_failures_are_returned_with_the_raised_message(self, monkeypatch):
         import lpd.classifier as classifier
+        from lpd import l1solver
         from lpd.errors import SolverFailure
-        from lpd.l1solver import SolverConfig
 
         moments = compute_moments(random_binary(np.random.default_rng(22), 20, 20, 6, shift=1.0))
-        config = SolverConfig(max_iter=2)
+        monkeypatch.setattr(l1solver, "MAX_ITER", 2)
         lambdas = [0.3, 0.1]
-        path = classifier.fit_lpd_path(moments, lambdas, config)
+        path = classifier.fit_lpd_path(moments, lambdas)
         for lam, failure in zip(lambdas, path):
             assert isinstance(failure, SolverFailure)
             with pytest.raises(SolverFailure) as raised:
-                classifier.fit_lpd_from_moments(moments, lam, config)
+                classifier.fit_lpd_from_moments(moments, lam)
             assert str(failure) == str(raised.value)
         assert classifier.fit_lpd_path(moments, []) == []
 

@@ -59,6 +59,30 @@ class TestTrainPredict:
         assert model.metadata["folds"] == 2
         assert model.lam > 0
 
+    def test_lambda_auto_cross_validates_at_the_given_rho(self, tmp_path):
+        """train --rho X chooses lambda, and records cv_correct, from CV at ridge X."""
+        from lpd.dataio import DataFileSchema
+        from lpd.model_selection import CvPlan, cross_validate, default_lambda_grid
+        from lpd.stats import compute_moments
+
+        rng = np.random.default_rng(6)  # data on which CV at rho 2 and at the auto rho differ
+        rows = np.vstack([rng.standard_normal((10, 8)) + 0.6, rng.standard_normal((10, 8))])
+        data = tmp_path / "d.csv"
+        data.write_text("".join(",".join([cls] + [repr(float(v)) for v in row]) + "\n"
+                                for cls, row in zip("A" * 10 + "B" * 10, rows)))
+        dataset = load_dataset(data, DataFileSchema())
+        plan = CvPlan(folds=2, lambda_grid=default_lambda_grid(compute_moments(dataset), 5))
+        at_auto, at_two = cross_validate(dataset, plan), cross_validate(dataset, plan, 2.0)
+        assert at_auto.chosen_lambda != at_two.chosen_lambda
+
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--folds", "2", "--grid-size", "5",
+                     "--rho", "2", "--out", str(model_path)]) == 0
+        model = load_model(model_path)
+        assert model.ridge_rho == 2.0
+        assert model.lam == at_two.chosen_lambda
+        assert model.metadata["cv_correct"] == at_two.per_lambda_correct()[model.lam]
+
     def test_train_outputs_reproducible(self, tmp_path):
         data = tmp_path / "sep.csv"
         write_separable(data, np.random.default_rng(1))
@@ -89,6 +113,27 @@ class TestTrainPredict:
         )
         assert code == 0
         assert len(preds.read_text().splitlines()) == 5
+
+
+class TestModelFileThreshold:
+    def test_threshold_is_honoured_with_ties_to_class_1(self, tmp_path):
+        """Scores 0.25, 0.2, 1 and -1 against a threshold of 0.25 read from the file."""
+        from lpd.classifier import LpdModel, predict
+        from lpd.dataio import save_model
+
+        model_path = tmp_path / "m.json"
+        save_model(model_path, LpdModel(beta=[1.0, 0.0], mu_hat=[0.0, 0.0], threshold=0.25))
+        assert '"threshold": 0.25,' in model_path.read_text()
+        text = "0.25,5\n0.2,0\n1,0\n-1,0\n"
+        rows = np.array([line.split(",") for line in text.split()], dtype=float)
+        assert predict(load_model(model_path), rows).tolist() == [1, 2, 1, 2]
+
+        batch, preds = tmp_path / "z.csv", tmp_path / "preds.csv"
+        batch.write_text(text)
+        assert main(["predict", "--model", str(model_path), "--data", str(batch),
+                     "--out", str(preds)]) == 0
+        classes = [line.split(",")[1] for line in preds.read_text().splitlines()[1:]]
+        assert classes == ["1", "2", "1", "2"]
 
 
 class TestPredictFeaturesOnly:
@@ -407,6 +452,24 @@ class TestExitCodes:
         z = tmp_path / "z.csv"
         z.write_text("1.0\n")
         assert main(["predict", "--model", str(bad), "--data", str(z), "--out", str(tmp_path / "p.csv")]) == 2
+
+    @pytest.mark.parametrize("declared", ['"x"', "null", "[3]", "true", "3.0", "4", None])
+    def test_malformed_model_p_is_data_error(self, tmp_path, capsys, declared):
+        from lpd.classifier import LpdModel
+        from lpd.dataio import save_model
+
+        model_path = tmp_path / "m.json"
+        save_model(model_path, LpdModel(beta=[1.0, 0.0, 2.0], mu_hat=[0.0, 0.0, 0.0]))
+        text = model_path.read_text()
+        assert '  "p": 3,\n' in text
+        new = "" if declared is None else f'  "p": {declared},\n'
+        model_path.write_text(text.replace('  "p": 3,\n', new))
+        z = tmp_path / "z.csv"
+        z.write_text("1,2,3\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(z),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        assert "but beta has length 3" in capsys.readouterr().err
 
     def test_infeasible_solver_is_exit_3(self, tmp_path):
         # p > n with a zero ridge: singular pooled covariance, tiny lambda

@@ -15,7 +15,6 @@ from lpd.l1solver import (
     ITERATION_LIMIT,
     OPTIMAL,
     LpProblem,
-    SolverConfig,
     build_lp,
     solve,
     support,
@@ -32,7 +31,6 @@ def random_spd(rng, p, ridge=1.0):
 class TestBuildLp:
     def test_counts_for_p2(self):
         sf = build_lp(LpProblem(A=np.eye(2), b=np.array([1.0, 2.0]), lam=0.5))
-        assert sf.n_vars == 4
         assert sf.n_constraints == 8
         assert sf.constraint_matrix().shape == (8, 4)
 
@@ -56,7 +54,7 @@ class TestBuildLp:
         beta, u = rng.standard_normal(3), rng.standard_normal(3)
         x = np.concatenate([beta, u])
         lhs = sf.constraint_matrix() @ x
-        rhs = sf.rhs()
+        rhs = sf.rhs(lam)
         a_rho = sf.a_rho
         for j in range(3):
             assert np.isclose(lhs[j] - rhs[j], -beta[j] - u[j])
@@ -125,11 +123,12 @@ class TestSolve:
         assert sol.status == OPTIMAL
         assert sol.max_residual <= 0.2 + 1e-6
 
-    def test_iteration_limit_status(self):
+    def test_iteration_limit_status(self, monkeypatch):
         rng = np.random.default_rng(6)
         a = random_spd(rng, 5)
         b = rng.standard_normal(5)
-        sol = solve(LpProblem(A=a, b=b, lam=0.1), SolverConfig(max_iter=2))
+        monkeypatch.setattr(l1solver, "MAX_ITER", 2)
+        sol = solve(LpProblem(A=a, b=b, lam=0.1))
         assert sol.status == ITERATION_LIMIT
 
     def test_deterministic(self):
@@ -165,7 +164,7 @@ class TestSolveProperties:
             sol = solve(LpProblem(A=a, b=b, lam=lam, ridge_rho=rho))
             assert sol.status == OPTIMAL
             assert sol.max_residual <= lam * (1 + 1e-6) + 1e-8
-            assert sol.duality_gap <= SolverConfig().gap_tol
+            assert sol.duality_gap <= l1solver.GAP_TOL
 
     def test_dominance_over_feasible_references(self):
         """|beta_hat|_1 never exceeds the l1 norm of any feasible point."""
@@ -216,10 +215,11 @@ class TestSupport:
         sol = solve(LpProblem(A=np.eye(2), b=np.array([0.1, -0.2]), lam=1.0))
         assert support(sol).tolist() == []
 
-    def test_requires_optimal(self):
+    def test_requires_optimal(self, monkeypatch):
         rng = np.random.default_rng(13)
         a = random_spd(rng, 4)
-        sol = solve(LpProblem(A=a, b=rng.standard_normal(4), lam=0.1), SolverConfig(max_iter=1))
+        monkeypatch.setattr(l1solver, "MAX_ITER", 1)
+        sol = solve(LpProblem(A=a, b=rng.standard_normal(4), lam=0.1))
         with pytest.raises(ValueError):
             support(sol)
 
@@ -253,11 +253,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             LpProblem(A=np.eye(2), b=np.ones(2), lam=0.1, ridge_rho=-1.0)
 
-    def test_config_positive(self):
-        with pytest.raises(ValueError):
-            SolverConfig(gap_tol=0.0)
-
-    def test_fit_failure_has_informative_message(self):
+    def test_fit_failure_has_informative_message(self, monkeypatch):
         from lpd.classifier import fit_lpd_from_moments
         from lpd.stats import LabeledDataset, compute_moments
 
@@ -266,8 +262,9 @@ class TestValidation:
             rng.standard_normal((12, 4)), np.concatenate([np.ones(6, int), np.full(6, 2)])
         )
         moments = compute_moments(data)
+        monkeypatch.setattr(l1solver, "MAX_ITER", 1)
         with pytest.raises(SolverFailure, match="status"):
-            fit_lpd_from_moments(moments, 0.05, SolverConfig(max_iter=1))
+            fit_lpd_from_moments(moments, 0.05)
 
 
 class TestStepLengths:

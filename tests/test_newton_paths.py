@@ -315,14 +315,12 @@ class TestSolveGrid:
         with pytest.raises(ValueError, match="lam must be >= 0"):
             l1solver.solve_grid(grid_problem(moments), [0.1, -0.1])
 
-    def test_iteration_limit_member_keeps_its_gap(self):
+    def test_iteration_limit_member_keeps_its_gap(self, monkeypatch):
         """With a 3-iteration budget every member stops at the limit, and reports the
         gap of its own last iterate, as solve does."""
-        from lpd.l1solver import SolverConfig
-
         moments, grid = desk_fold(40, 30, seed=4)
-        config = SolverConfig(max_iter=3)
-        members = l1solver.solve_grid(grid_problem(moments), grid[::4], config)
+        monkeypatch.setattr(l1solver, "MAX_ITER", 3)
+        members = l1solver.solve_grid(grid_problem(moments), grid[::4])
         for lam, member in zip(grid[::4], members):
             assert member.status == "iteration_limit"
-            assert_same_solution(member, solve(grid_problem(moments, lam), config))
+            assert_same_solution(member, solve(grid_problem(moments, lam)))
