@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, EmptySupport, SolverError, SolverFailure, ZeroVariance
-from .l1solver import OPTIMAL, LpProblem, solve, solve_grid
+from .l1solver import OPTIMAL, LpProblem, solve, solve_path
 from .stats import LabeledDataset, TwoSampleMoments, compute_moments
 
 
@@ -108,11 +108,14 @@ def fit_lpd_from_moments(
 
 
 def fit_lpd_path(moments: TwoSampleMoments, lambdas, ridge_rho: float | None = None) -> list:
-    """:func:`fit_lpd_from_moments` at every lambda of ``lambdas``, by one
-    :func:`~lpd.l1solver.solve_grid` call.
+    """The LPD model at every lambda of ``lambdas``, by one
+    :func:`~lpd.l1solver.solve_path` call.
 
     Entry j is the model at lambdas[j], or the SolverError that
     :func:`fit_lpd_from_moments` would raise there; other errors propagate.
+    A model the path certified is a vertex of the program, so its beta may
+    differ from :func:`fit_lpd_from_moments`'s interior-point iterate within
+    the solvers' tolerances; its ``iterations`` are path pivots.
     """
     lambdas = [float(lam) for lam in lambdas]
     if not lambdas:
@@ -120,7 +123,7 @@ def fit_lpd_path(moments: TwoSampleMoments, lambdas, ridge_rho: float | None = N
     problem, ridge_rho = _problem(moments, lambdas[0], ridge_rho)
     return [sol if isinstance(sol, SolverError)
             else _certified_model(moments, lam, sol, ridge_rho)
-            for lam, sol in zip(lambdas, solve_grid(problem, lambdas))]
+            for lam, sol in zip(lambdas, solve_path(problem, lambdas))]
 
 
 def _problem(moments, lam, ridge_rho):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -124,10 +123,12 @@ def _loadtxt_rows(path, schema: DataFileSchema, label_column):
     """:func:`_read_rows` by numpy's C parser, or None where the exact reader must decide."""
     if label_column is not None and label_column < 0:
         return None
-    with open(path, "rb") as raw:  # numpy strips these bytes around a number; float() does not
-        chunks = iter(lambda: raw.read(1 << 20), b"")
-        if any(c in chunk for chunk in chunks for c in b"\x1c\x1d\x1e\x1f"):
-            return None
+    with open(path, "rb") as raw:  # per 1 MB chunk: (stripped, quoted)
+        scan = [(any(c in chunk for c in b"\x1c\x1d\x1e\x1f"), any(c in chunk for c in b'"\x00'))
+                for chunk in iter(lambda: raw.read(1 << 20), b"")]
+    if any(stripped for stripped, _ in scan):  # numpy strips these around a number; float() does not
+        return None
+    plain = not any(quoted for _, quoted in scan)  # no quote or NUL: a csv record is a line
     names: dict[str, int] = {}
     # Not `usecols`: it accepts a row with an extra field. The label column is dropped below.
     converters = {} if label_column is None else {
@@ -143,21 +144,37 @@ def _loadtxt_rows(path, schema: DataFileSchema, label_column):
         return None
     bad_rows = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad_rows.size:
-        raise _nonfinite_error(path, schema, label_column, int(bad_rows[0]))
+        raise _nonfinite_error(path, schema, label_column, int(bad_rows[0]), plain)
     if label_column is None:
         return out, np.empty(0, dtype=int), ()
     return np.delete(out, label_column, axis=1), out[:, label_column].astype(int), tuple(names)
 
 
-def _nonfinite_error(path, schema: DataFileSchema, label_column, index):
+def _nonfinite_error(path, schema: DataFileSchema, label_column, index, plain):
     """The error :func:`_exact_rows` raises when data row ``index`` (0-based) is the
-    first with a non-finite value; the csv records before it are only counted."""
+    first with a non-finite value; the records before it are only counted.
+
+    In a ``plain`` file (no quote or NUL character) a record is a line, and a
+    blank record a bare line ending, so csv splits only the bad line, and any
+    earlier line long enough to hold a field over csv's limit (it raises as
+    the csv walk would). Otherwise csv walks every record.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle, _text_errors(path):
-        records = enumerate(csv.reader(handle, delimiter=schema.delimiter), start=1)
-        data = ((lineno, row) for lineno, row in records
-                if row and not (schema.has_header and lineno == 1))
-        lineno, row = next(itertools.islice(data, index, None))
-    return _cell_error(path, lineno, row, label_column)
+        if plain:
+            records = ((lineno, line) for lineno, line in enumerate(handle, start=1)
+                       if line not in ("\n", "\r\n", "\r"))
+        else:
+            records = ((lineno, row) for lineno, row in
+                       enumerate(csv.reader(handle, delimiter=schema.delimiter), start=1) if row)
+        for lineno, record in records:
+            if schema.has_header and lineno == 1:
+                continue
+            if plain and (index == 0 or len(record) > csv.field_size_limit()):
+                record = next(csv.reader([record], delimiter=schema.delimiter))
+            if index == 0:
+                return _cell_error(path, lineno, record, label_column)
+            index -= 1
+    raise AssertionError(f"{path}: fewer data rows than np.loadtxt read")
 
 
 def _exact_rows(path, schema: DataFileSchema, label_column):

@@ -28,12 +28,21 @@ solve_grid solves the program at every lambda of a grid as one batch: the
 start point is shared, and the members' iterations run in step on stacked
 arrays, each member bit-identical to solve at its lambda.
 
+solve_path solves a grid along the program's solution path instead. The
+right-hand side is linear in lambda, so beta is piecewise linear in it; a
+parametric dual simplex follows it down from beta = 0 at lambda =
+||b||_inf, one pivot per breakpoint, on the inverse of the active block
+A_rho[J, I] kept by rank-one updates. A grid point it reads off the path is
+optimal only under an exact primal-dual certificate; the points it cannot
+certify go to solve_grid. CV and the simulate refits solve their grids this
+way; solve, the single-lambda fit, stays on the interior-point method.
+
 The solver is deterministic: no randomization anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,6 +69,16 @@ _WOODBURY_RTOL = 1e-10
 _REFINE_STEPS = 3
 # solve_grid keeps at most this many bytes of Newton systems alive at once.
 _GROUP_BYTES = 2 << 20
+# solve_path re-inverts its active block afresh every _REFACTOR_PIVOTS
+# pivots, and hands the rest of its grid to solve_grid after
+# _PIVOTS_PER_COORDINATE * p pivots. Its ratio tests take no pivot of
+# magnitude <= _PIVOT_TOL, and may overstep a bound by _BOUND_TOL.
+_REFACTOR_PIVOTS = 64
+_PIVOTS_PER_COORDINATE = 10
+_PIVOT_TOL = 1e-9
+_BOUND_TOL = 1e-11
+# The upper (+1) and lower (-1) bound of a constraint row, as a column.
+_SIDES = np.array([[1.0], [-1.0]])
 
 # Coefficients at or below this magnitude are interior-point noise around an
 # exact zero; the dual normalization keeps the scale absolute.
@@ -403,6 +422,295 @@ def _group_size(p: int, factor) -> int:
     k = 0 if factor is None else factor.shape[1]
     floats = p * p if factor is None else 2 * p * k + 5 * k * k
     return max(1, _GROUP_BYTES // (8 * floats))
+
+
+def solve_path(problem: LpProblem, lambdas) -> list:
+    """:func:`solve_grid` by one parametric-simplex path (``problem.lam`` is not used).
+
+    The right-hand side is linear in lambda, so the solutions of the whole grid
+    lie on one piecewise-linear path. It starts at beta = 0, optimal for
+    lambda >= ||b||_inf, and goes down by dual-simplex pivots on the active
+    block A_rho[J, I]: J the constraints held at +-lambda, I the support.
+    Each grid lambda reads beta = beta0 + lambda beta1 and the dual y from the
+    segment of the path that holds it, and is ``optimal`` only when
+    :func:`_certify` passes. The first lambda that fails after a refactor,
+    every smaller lambda, and lambda = 0 go to :func:`solve_grid`; so does
+    the rest of the grid when a pivot finds no entering index (the program
+    is infeasible below, or the block is singular) or the path runs past
+    _PIVOTS_PER_COORDINATE * p pivots. Entry j is an LpSolution or the
+    SolverError :func:`solve` would raise at lambdas[j]. A path entry's
+    ``iterations`` counts the pivots taken to reach its lambda.
+    """
+    lams = np.asarray(lambdas, dtype=float).reshape(-1)
+    if np.any(lams < 0):
+        raise ValueError("lam must be >= 0")
+    sf = build_lp(problem)
+    traced = _trace_path(sf, sorted(set(lams[lams > 0].tolist()), reverse=True))
+    results = [replace(traced[lam], beta=traced[lam].beta.copy()) if lam in traced else None
+               for lam in lams.tolist()]
+    rest = [j for j, sol in enumerate(results) if sol is None]
+    if rest:
+        for j, sol in zip(rest, solve_grid(problem, lams[rest])):
+            results[j] = sol
+    return results
+
+
+def _certify(sf: StandardFormLp, beta, y, lam, pivots):
+    """The path's LpSolution at ``lam``, or None unless (beta, y) is certified.
+
+    Certified means: the residual bound of :func:`solve`,
+    ||A_rho beta - b||_inf <= lam (1 + 1e-6) + 1e-8; a dual-feasible y,
+    ||A_rho y||_inf <= 1 + FEAS_TOL; and an exact duality gap
+    ||beta||_1 + b'y + lam ||y||_1 <= GAP_TOL (1 + ||beta||_1), which weak
+    duality makes >= 0 whenever y is feasible. ``duality_gap`` is that gap
+    over 1 + ||beta||_1.
+    """
+    sol = _solution(sf, beta, pivots, 0.0, OPTIMAL)
+    sol.duality_gap = ((sol.objective + float(sf.b @ y) + lam * float(np.abs(y).sum()))
+                       / (1.0 + sol.objective))
+    if (sol.max_residual <= lam * (1 + 1e-6) + 1e-8
+            and float(np.abs(sf.a_rho @ y).max()) <= 1.0 + FEAS_TOL
+            and sol.duality_gap <= GAP_TOL):
+        return sol
+    return None
+
+
+def _trace_path(sf: StandardFormLp, lams) -> dict:
+    """{lambda: certified LpSolution} along the path, for a prefix of the
+    descending positive ``lams``; see :func:`solve_path`."""
+    out: dict = {}
+    block = _ActiveBlock(sf.a_rho, sf.b)
+    lam_cur, pivots, k = np.inf, 0, 0
+    # A ratio divides by slopes and pivots that may be 0; those entries are masked out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while k < len(lams):
+            block.solve_segment()
+            lam_next, event = _next_breakpoint(block, lam_cur)
+            if np.isnan(lam_next):  # the block's inverse has broken down
+                break
+            while k < len(lams) and lams[k] >= lam_next:
+                sol = _certify(sf, *block.at(lams[k]), lams[k], pivots)
+                if sol is None:
+                    if not block.refactor():
+                        return out
+                    block.solve_segment()
+                    sol = _certify(sf, *block.at(lams[k]), lams[k], pivots)
+                    if sol is None:
+                        return out
+                out[lams[k]] = sol
+                k += 1
+            if k == len(lams) or pivots == _PIVOTS_PER_COORDINATE * sf.p:
+                break
+            if not block.pivot(event):
+                break
+            pivots += 1
+            lam_cur = lam_next
+            if pivots % _REFACTOR_PIVOTS == 0 and not block.refactor():
+                break
+    return out
+
+
+class _ActiveBlock:
+    """The basis of the path and its current segment.
+
+    The basis is the active rows J with the signs sigma of A_rho beta - b =
+    lambda sigma there, the support I with the signs s of beta, and the
+    inverse of M = A_rho[J, I] (rows indexed by I, columns by J), kept by
+    rank-one updates between refactors. A pivot changes one index:
+    bordering (J and I each gain one), row replacement, column replacement,
+    or deletion (J and I each lose one; the last position moves into the
+    freed one). The inverse and the rows A_rho[J] and A_rho[I] (A_rho is
+    symmetric) live in buffers that grow by doubling, so a pivot copies O(p)
+    entries of A_rho, not O(|J| p).
+
+    On a segment M beta_I = b_J + lambda sigma and M' y_J = -s, so beta_I =
+    beta0 + lambda beta1, y_J is constant, and A_rho beta - b = r0 + lambda r1;
+    :meth:`solve_segment` computes these and v = A_rho y.
+    """
+
+    def __init__(self, a, b):
+        p = b.size
+        self.a, self.b, self.n = a, b, 0
+        self._rows, self._cols = np.empty(p, dtype=int), np.empty(p, dtype=int)
+        self._sigma, self._s = np.empty(p), np.empty(p)
+        self.in_rows = np.zeros(p, dtype=bool)
+        self.in_cols = np.zeros(p, dtype=bool)
+        self._inv = np.empty((0, 0))
+        self._a_rows = self._a_cols = np.empty((0, p))
+
+    @property
+    def inv(self):
+        return self._inv[: self.n, : self.n]
+
+    def _reserve(self, n):
+        """Room for n positions."""
+        cap = self._inv.shape[0]
+        if n <= cap:
+            return
+        cap = min(max(2 * cap, 16), self.b.size)
+        inv, self._inv = self._inv, np.empty((cap, cap))
+        self._inv[: self.n, : self.n] = inv[: self.n, : self.n]
+        for name in ("_a_rows", "_a_cols"):
+            rows = np.empty((cap, self.b.size))
+            rows[: self.n] = getattr(self, name)[: self.n]
+            setattr(self, name, rows)
+
+    def refactor(self) -> bool:
+        """Invert M afresh; False when it is singular."""
+        n = self.n
+        try:
+            self._inv[:n, :n] = np.linalg.inv(self._a_rows[:n, self._cols[:n]])
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def solve_segment(self):
+        n, inv = self.n, self.inv
+        self.rows, self.cols, self.s = self._rows[:n], self._cols[:n], self._s[:n]
+        self.a_rows, a_cols = self._a_rows[:n], self._a_cols[:n]
+        self.beta0 = inv @ self.b[self.rows]
+        self.beta1 = inv @ self._sigma[:n]
+        self.y = -(self.s @ inv)
+        self.v = self.y @ self.a_rows
+        self.r0 = self.beta0 @ a_cols - self.b
+        self.r1 = self.beta1 @ a_cols
+
+    def at(self, lam):
+        """Full-length (beta, y) at ``lam`` on the current segment."""
+        beta = np.zeros(self.b.size)
+        beta[self.cols] = self.beta0 + lam * self.beta1
+        y = np.zeros(self.b.size)
+        y[self.rows] = self.y
+        return beta, y
+
+    def pivot(self, event) -> bool:
+        """One dual-simplex pivot at the segment's end; False when no index can enter."""
+        kind, index, sign = event
+        outside = ~self.in_cols
+        if kind == "col":  # beta at support position `index` reaches 0 and leaves
+            d = self.s[index] * self.inv[index]
+            w = d @ self.a_rows
+            outside[self.cols[index]] = True  # it may come back with the other sign
+        else:  # constraint `index` reaches lambda * sign and joins J
+            g = self.a[index, self.cols] @ self.inv
+            d = -sign * g
+            w = d @ self.a_rows
+            w += sign * self.a[index]
+        entering = _dual_ratio(self.y, d, self.v, w, outside)
+        if entering is None:
+            return False
+        what, which = entering
+        if kind == "col" and what == "row":
+            self._delete(which, index)
+        elif kind == "col":
+            self._replace_col(index, which, -np.sign(w[which]), self.a_rows[:, which])
+        elif what == "row":
+            self._replace_row(which, index, sign, g)
+        else:
+            self._border(index, sign, g, which, -np.sign(w[which]), self.a_rows[:, which])
+        return True
+
+    def _delete(self, a_pos, c_pos):
+        """Drop J position a_pos and I position c_pos:
+        B' = B[-c, -a] - B[-c, a] B[c, -a] / B[c, a]."""
+        inv, last = self.inv, self.n - 1
+        inv -= (inv[:, a_pos] / inv[c_pos, a_pos])[:, None] * inv[c_pos]
+        self.in_rows[self._rows[a_pos]] = self.in_cols[self._cols[c_pos]] = False
+        for order, pos in ((self._cols, c_pos), (self._s, c_pos), (self._a_cols, c_pos),
+                           (inv, c_pos), (self._rows, a_pos), (self._sigma, a_pos),
+                           (self._a_rows, a_pos), (inv.T, a_pos)):
+            order[pos] = order[last]
+        self.n = last
+
+    def _replace_col(self, c_pos, m, s_m, u):
+        """Column c_pos of M becomes u = A_rho[J, m]: with z = B u, row c of B'
+        is B[c] / z[c] and B' = B - z B[c] / z[c] elsewhere. When m is the
+        leaving column itself, only its sign changes."""
+        if self._cols[c_pos] != m:
+            inv = self.inv
+            z = inv @ u
+            row = inv[c_pos] / z[c_pos]
+            inv -= z[:, None] * row
+            inv[c_pos] = row
+            self.in_cols[self._cols[c_pos]] = False
+            self.in_cols[m] = True
+            self._cols[c_pos] = m
+            self._a_cols[c_pos] = self.a[m]
+        self._s[c_pos] = s_m
+
+    def _replace_row(self, a_pos, k, sigma_k, g):
+        """Row a_pos of M becomes A_rho[k, I]: with g = A_rho[k, I] B, column a of
+        B' is B[:, a] / g[a] and B' = B - B[:, a] g / g[a] elsewhere."""
+        inv = self.inv
+        col = inv[:, a_pos] / g[a_pos]
+        inv -= col[:, None] * g
+        inv[:, a_pos] = col
+        self.in_rows[self._rows[a_pos]] = False
+        self.in_rows[k] = True
+        self._rows[a_pos] = k
+        self._sigma[a_pos] = sigma_k
+        self._a_rows[a_pos] = self.a[k]
+
+    def _border(self, k, sigma_k, g, m, s_m, u):
+        """M gains row k and column m: with u = A_rho[J, m], z = B u, g = A_rho[k, I] B
+        and delta = A_rho[k, m] - g u, B' = [[B + z g / delta, -z / delta],
+        [-g / delta, 1 / delta]]."""
+        n = self.n
+        self._reserve(n + 1)
+        inv = self.inv
+        z = inv @ u
+        delta = self.a[k, m] - g @ u
+        inv += z[:, None] * (g / delta)
+        self._inv[:n, n] = -z / delta
+        self._inv[n, :n] = -g / delta
+        self._inv[n, n] = 1.0 / delta
+        self.in_rows[k] = self.in_cols[m] = True
+        self._rows[n], self._sigma[n], self._cols[n], self._s[n] = k, sigma_k, m, s_m
+        self._a_rows[n], self._a_cols[n] = self.a[k], self.a[m]
+        self.n = n + 1
+
+
+def _next_breakpoint(block: _ActiveBlock, lam_cur):
+    """(lambda, event): the largest lambda <= lam_cur at which a basic quantity
+    reaches its bound, and what reaches it: ("col", support position, 0) for a
+    beta_i reaching 0, ("row", k, +-1) for constraint k reaching +-lambda.
+    (-inf, None) when nothing blocks the segment down to 0.
+
+    A quantity blocks only when it falls as lambda falls (slope above
+    _PIVOT_TOL); one already past its bound by rounding blocks at lam_cur.
+    """
+    lam, event = -np.inf, None
+    if block.beta1.size:
+        at = np.where(block.s * block.beta1 > _PIVOT_TOL, -block.beta0 / block.beta1, -np.inf)
+        c = at.argmax()
+        lam, event = at[c], ("col", c, 0.0)
+    # constraint k reaches +lambda at r0 / (1 - r1), -lambda at -r0 / (1 + r1)
+    slopes = 1.0 - _SIDES * block.r1
+    at = np.where((slopes > _PIVOT_TOL) & ~block.in_rows, _SIDES * block.r0 / slopes, -np.inf).ravel()
+    k = at.argmax()
+    if at[k] > lam:
+        p = block.r0.size
+        lam, event = at[k], ("row", k % p, 1.0 if k < p else -1.0)
+    return min(float(lam), lam_cur), event
+
+
+def _dual_ratio(y, d, v, w, outside):
+    """The index that enters when the dual moves as y + t d (so A_rho y moves as
+    v + t w): ("row", J position) where y_a reaches 0, or ("col", m) where
+    |v_m + t w_m| reaches 1 for m in ``outside`` the support; None when
+    nothing bounds t. Harris's two passes: the bound on t lets every bound be
+    overstepped by _BOUND_TOL, and among the indices within it the largest
+    pivot |d_a| or |w_m| enters.
+    """
+    # t reaches index j's bound at room_j / pivot_j; a pivot of 0 never does
+    room = np.concatenate([np.abs(y), 1.0 - np.sign(w) * v])
+    pivot = np.concatenate([np.where(y * d < 0, np.abs(d), 0.0), np.where(outside, np.abs(w), 0.0)])
+    usable = pivot > _PIVOT_TOL
+    limit = np.where(usable, (room + _BOUND_TOL) / pivot, np.inf).min()
+    if not limit < np.inf:
+        return None
+    j = np.where(usable & (room <= limit * pivot), pivot, 0.0).argmax()
+    return ("row", j) if j < y.size else ("col", j - y.size)
 
 
 def _interior_point(sf: StandardFormLp, beta0, lams, factor, rho) -> list:

@@ -59,19 +59,28 @@ class TestFitLpd:
 
 
 class TestFitLpdPath:
-    """fit_lpd_path gives, lambda by lambda, what fit_lpd_from_moments gives or raises."""
+    """fit_lpd_path gives, lambda by lambda, a model of what fit_lpd_from_moments
+    gives, or the error it raises. A path model is a certified vertex, not the
+    interior-point iterate, so its beta agrees only within the certificate."""
 
     def test_models_equal_single_fits(self):
         import lpd.classifier as classifier
+        from lpd.l1solver import GAP_TOL
 
         moments = compute_moments(random_binary(np.random.default_rng(21), 30, 30, 12, shift=1.0))
         lambdas = [0.9, 0.4, 0.2, 0.1, 0.05]
         path = classifier.fit_lpd_path(moments, lambdas, ridge_rho=0.3)
+        a_rho = moments.sigma_hat + 0.3 * np.eye(moments.p)
         for lam, model in zip(lambdas, path):
             single = classifier.fit_lpd_from_moments(moments, lam, ridge_rho=0.3)
-            assert model.beta.tobytes() == single.beta.tobytes()
             assert (model.lam, model.ridge_rho, model.threshold) == (lam, 0.3, 0.0)
-            assert model.metadata == single.metadata
+            assert model.metadata.keys() == single.metadata.keys()
+            resid = np.abs(a_rho @ model.beta - moments.delta_hat).max()
+            assert resid <= lam * (1 + 1e-6) + 1e-8
+            assert model.metadata["max_residual"] == resid
+            assert model.metadata["duality_gap"] <= GAP_TOL
+            l1 = np.abs(model.beta).sum()
+            assert abs(l1 - np.abs(single.beta).sum()) <= GAP_TOL * (1 + l1)
 
     def test_failures_are_returned_with_the_raised_message(self, monkeypatch):
         import lpd.classifier as classifier
@@ -79,6 +88,7 @@ class TestFitLpdPath:
         from lpd.errors import SolverFailure
 
         moments = compute_moments(random_binary(np.random.default_rng(22), 20, 20, 6, shift=1.0))
+        monkeypatch.setattr(l1solver, "_certify", lambda *args: None)
         monkeypatch.setattr(l1solver, "MAX_ITER", 2)
         lambdas = [0.3, 0.1]
         path = classifier.fit_lpd_path(moments, lambdas)

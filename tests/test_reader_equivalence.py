@@ -223,3 +223,31 @@ def test_arbitrary_text(text, delimiter, label_column, has_header):
     schema = DataFileSchema(delimiter=delimiter, label_column=label_column, has_header=has_header)
     with tempfile.TemporaryDirectory() as directory:
         assert_same(write(directory, text), schema)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("where", [0, 4, 9])
+def test_nonfinite_row_counted_in_plain_and_quoted_files(tmp_path, newline, quoted, where):
+    """With a header and blank lines, the first non-finite value is named as the
+    exact reader names it, whether the records before it are counted as lines (no
+    quote character in the file) or walked by csv."""
+    rows = [["AB"[i % 2], f"{i}.5", str(-i)] for i in range(10)]
+    rows[where][1] = "nan"
+    if quoted:
+        rows[7][0] = '"B"'
+    lines = ["label,x,y", ""] + [line for row in rows for line in (",".join(row), "")]
+    path = write(tmp_path, newline.join(lines) + newline)
+    schema = DataFileSchema(has_header=True)
+    with pytest.raises(NonFiniteValue) as exact:
+        dataio._exact_rows(path, schema, 0)
+    with pytest.raises(NonFiniteValue) as one_pass:
+        load_dataset(path, schema)
+    assert str(one_pass.value) == str(exact.value)
+    assert f"row {2 * where + 3}, column 1: non-finite value 'nan'" in str(one_pass.value)
+
+
+def test_field_over_the_csv_limit_before_the_nonfinite_row(tmp_path):
+    """A plain file's lines are only counted, but a field csv would refuse still raises."""
+    path = write(tmp_path, "A,1,2\nB,3," + " " * 140_000 + "4\nA,nan,5\n")
+    assert_same(path, DataFileSchema())
