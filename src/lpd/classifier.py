@@ -194,18 +194,21 @@ def fit_glda(data: LabeledDataset) -> LpdModel:
 
 def fit_ofair(data: LabeledDataset, support) -> LpdModel:
     """Naive Bayes restricted to a known support; beta is zero elsewhere."""
-    support = np.unique(np.asarray(support, dtype=int))
+    support = np.asarray(support, dtype=int).reshape(-1)
     if support.size == 0:
         raise EmptySupport("support must contain at least one coordinate")
     if support.min() < 0 or support.max() >= data.p:
         raise IndexError(f"support indices must lie in [0, {data.p - 1}]")
+    # a mask, not np.unique, drops repeated indices: np.unique's first call imports numpy.ma
+    kept = np.zeros(data.p, dtype=bool)
+    kept[support] = True
     nb = fit_naive_bayes(data)
     beta = np.zeros(data.p)
-    beta[support] = nb.beta[support]
+    beta[kept] = nb.beta[kept]
     return LpdModel(
         beta=beta,
         mu_hat=nb.mu_hat,
-        metadata={"method": "ofair", "support_size": int(support.size)},
+        metadata={"method": "ofair", "support_size": int(kept.sum())},
     )
 
 

@@ -5,9 +5,13 @@ Subcommands: train, predict, cv, simulate, screen. Exit codes: 0 success,
 --seed flags; repeated runs with identical flags produce byte-identical
 output files at a fixed BLAS thread count (the BLAS splits its sums by
 thread, so another count can move beta in its last bits). The only
-environment variable honored is LPD_THREADS, an optional worker cap for
-the simulate command: a positive integer, clamped to the CPU count; any
-other value is a usage error.
+environment variable honored is LPD_THREADS, the number of worker
+processes that run the CV folds of `train --lambda auto` and `cv` and the
+replications of `simulate`: a positive integer, clamped to the CPU count,
+and the CPU count when unset; any other value is a usage error. Outputs do
+not depend on it. The work runs serially, in one process, when the process
+already runs more than one thread, as it does when the BLAS starts its own
+threads (OpenBLAS does unless OPENBLAS_NUM_THREADS=1).
 """
 
 from __future__ import annotations
@@ -153,11 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cv_plan(args, moments):
-    """The default grid sized by --grid-size, with --folds and --seed."""
+def _cross_validate(args, data, moments, ridge_rho=None):
+    """CV over the default grid sized by --grid-size, with --folds, --seed and LPD_THREADS."""
     with _flag_values(args.command):
         grid = default_lambda_grid(moments, args.grid_size)
-        return CvPlan(folds=args.folds, lambda_grid=grid, seed=args.seed)
+        plan = CvPlan(folds=args.folds, lambda_grid=grid, seed=args.seed)
+        max_workers = _max_workers()
+    return cross_validate(data, plan, ridge_rho=ridge_rho, max_workers=max_workers)
 
 
 def _cmd_train(args):
@@ -169,7 +175,7 @@ def _cmd_train(args):
         "rho_source": "auto" if args.rho is None else "fixed",
     }
     if args.lam == "auto":
-        result = cross_validate(data, _cv_plan(args, moments), ridge_rho=args.rho)
+        result = _cross_validate(args, data, moments, ridge_rho=args.rho)
         lam = result.chosen_lambda
         provenance.update(
             lambda_source="cv", folds=args.folds, grid_size=args.grid_size,
@@ -216,7 +222,7 @@ def _cmd_predict(args):
 
 def _cmd_cv(args):
     data = dataio.load_dataset(args.data, _schema(args))
-    result = cross_validate(data, _cv_plan(args, compute_moments(data)))
+    result = _cross_validate(args, data, compute_moments(data))
     text = dataio.save_cv_table(args.out, result)
     if args.out is None:
         sys.stdout.write(text)
@@ -226,10 +232,11 @@ def _cmd_cv(args):
 
 
 def _max_workers():
-    """Worker cap from LPD_THREADS: a positive integer, at most the CPU count."""
+    """Worker cap from LPD_THREADS: a positive integer, at most the CPU count
+    and the CPU count when unset."""
     raw = os.environ.get("LPD_THREADS")
     if raw is None:
-        return 1
+        return os.cpu_count() or 1
     try:
         value = int(raw)
     except ValueError:

@@ -22,7 +22,6 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-import threading
 
 import numpy as np
 
@@ -32,7 +31,6 @@ SYMMETRY_RTOL = 1e-10
 # pseudo_inverse treats eigenvalues with |w_i| <= RANK_TOL * max|w| as zero.
 RANK_TOL = 1e-10
 _FLAPACK = "scipy.linalg._flapack"
-_LOAD_LOCK = threading.Lock()
 
 
 def as_matrix(a, name="matrix"):
@@ -76,16 +74,15 @@ def _lapack():
     Windows, SciPy's ``__init__`` sets up the DLL paths) it comes through
     ``scipy.linalg`` after all.
     """
-    with _LOAD_LOCK:  # simulate's replication threads may ask at the same time
-        loaded = sys.modules.get(_FLAPACK)
-        if loaded is not None:
-            return loaded
-        try:
-            return _load_flapack()
-        except (ImportError, OSError):
-            from scipy.linalg import lapack
+    loaded = sys.modules.get(_FLAPACK)
+    if loaded is not None:
+        return loaded
+    try:
+        return _load_flapack()
+    except (ImportError, OSError):
+        from scipy.linalg import lapack
 
-            return lapack
+        return lapack
 
 
 def _load_flapack():

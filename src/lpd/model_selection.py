@@ -16,6 +16,7 @@ import numpy as np
 # lpd.model_selection.fit_lpd_from_moments, the name perfbench/spans.py traces.
 from .classifier import fit_lpd_from_moments, fit_lpd_path, predict  # noqa: F401
 from .errors import DegenerateDelta, SolverError, SolverFailure, TooFewSamplesPerClass
+from .parallel import map_tasks
 from .stats import LabeledDataset, TwoSampleMoments, compute_moments
 
 
@@ -77,11 +78,15 @@ def make_folds(data: LabeledDataset, n_folds: int, seed: int) -> np.ndarray:
     return fold_ids
 
 
-def cross_validate(data: LabeledDataset, plan: CvPlan, ridge_rho: float | None = None) -> CvResult:
+def cross_validate(
+    data: LabeledDataset, plan: CvPlan, ridge_rho: float | None = None, max_workers: int = 1
+) -> CvResult:
     """Count correct validation classifications for every lambda in the grid.
 
     Every fold fits at the ridge ``ridge_rho``, or at its own
     sqrt(log p / n) when None, as :func:`~lpd.classifier.fit_lpd_path` does.
+    The folds run on up to ``max_workers`` worker processes
+    (:func:`~lpd.parallel.map_tasks`); the result does not depend on it.
 
     A solver failure at any (fold, lambda) marks that lambda ineligible for
     selection; the failure is recorded in the result rather than dropped.
@@ -91,14 +96,13 @@ def cross_validate(data: LabeledDataset, plan: CvPlan, ridge_rho: float | None =
     counts = np.zeros(grid.size, dtype=int)
     failures: dict[int, list] = {}
 
-    for fold in range(plan.folds):
-        train = data.subset(np.flatnonzero(fold_ids != fold))
-        val = data.subset(np.flatnonzero(fold_ids == fold))
-        for j, fit in enumerate(fit_lpd_path(compute_moments(train), grid, ridge_rho)):
-            if isinstance(fit, SolverError):
-                failures.setdefault(j, []).append((fold, str(fit)))
+    outcomes = map_tasks(_fold_outcomes, (data, fold_ids, grid, ridge_rho), plan.folds, max_workers)
+    for fold, fold_outcomes in enumerate(outcomes):
+        for j, outcome in enumerate(fold_outcomes):
+            if isinstance(outcome, str):
+                failures.setdefault(j, []).append((fold, outcome))
             else:
-                counts[j] += int(np.sum(predict(fit, val.features) == val.labels))
+                counts[j] += outcome
 
     eligible = {float(grid[j]): counts[j] for j in range(grid.size) if j not in failures}
     if not eligible:
@@ -110,6 +114,15 @@ def cross_validate(data: LabeledDataset, plan: CvPlan, ridge_rho: float | None =
         fold_assignments=fold_ids,
         failures=failures,
     )
+
+
+def _fold_outcomes(data, fold_ids, grid, ridge_rho, fold) -> list:
+    """Per lambda, the fold's count of correct validation labels, or its solver failure message."""
+    train = data.subset(np.flatnonzero(fold_ids != fold))
+    val = data.subset(np.flatnonzero(fold_ids == fold))
+    return [str(fit) if isinstance(fit, SolverError)
+            else int(np.sum(predict(fit, val.features) == val.labels))
+            for fit in fit_lpd_path(compute_moments(train), grid, ridge_rho)]
 
 
 def smallest_best_lambda(scores: dict, best) -> float:

@@ -18,7 +18,6 @@ mean/SD test errors plus support-recovery metrics.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +39,7 @@ from .classifier import (  # noqa: F401
 from .errors import DimensionMismatch, LpdError, SolverError, SolverFailure, ZeroBeta
 from .l1solver import support_mask
 from .model_selection import CvPlan, cross_validate, default_lambda_grid, smallest_best_lambda
+from .parallel import map_tasks
 from .stats import LabeledDataset, compute_moments
 
 METHOD_ORDER = ("lpd", "naive_bayes", "glda", "ofair", "oracle")
@@ -391,6 +391,14 @@ def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size):
     return record
 
 
+def _replication_outcome(spec, methods, streams, cv_folds, grid_size, rep):
+    """Replication ``rep``'s record, or its failure line when it raises an LpdError."""
+    try:
+        return _run_replication(spec, methods, streams[rep], rep, cv_folds, grid_size)
+    except LpdError as exc:
+        return f"rep {rep}: {exc}"
+
+
 def check_run_options(methods, cv_folds, grid_size) -> tuple:
     """The method names, lower-cased, after checking the options of
     :func:`run_benchmark` that only the replications would otherwise reach.
@@ -428,28 +436,21 @@ def run_benchmark(
 
     Bad options raise ValueError before any replication starts (see
     :func:`check_run_options`). Replications run on independent
-    deterministic RNG streams, so results do not depend on
-    ``max_workers``. Failed replications are excluded from the averages
-    and counted, never silently dropped; ``failures`` lists them in
-    replication order. When every replication fails,
-    :class:`SolverFailure` is raised.
+    deterministic RNG streams, on up to ``max_workers`` worker processes
+    (:func:`~lpd.parallel.map_tasks`; each replication's CV runs in its
+    worker), so results do not depend on ``max_workers``. A replication
+    that raises an :class:`LpdError` fails; any other exception propagates.
+    Failed replications are excluded from the averages and counted, never
+    silently dropped; ``failures`` lists them in replication order. When
+    every replication fails, :class:`SolverFailure` is raised.
     """
     methods = check_run_options(methods, cv_folds, grid_size)
 
     streams = np.random.SeedSequence(spec.seed).spawn(spec.reps)
-    records: list = []
-    failures: list = []
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            pool.submit(_run_replication, spec, methods, streams[rep], rep, cv_folds, grid_size)
-            for rep in range(spec.reps)
-        ]
-    for rep, future in enumerate(futures):
-        try:
-            records.append(future.result())
-        except LpdError as exc:
-            failures.append(f"rep {rep}: {exc}")
+    outcomes = map_tasks(_replication_outcome, (spec, methods, streams, cv_folds, grid_size),
+                         spec.reps, max_workers)
+    records = [outcome for outcome in outcomes if isinstance(outcome, RepRecord)]
+    failures = [outcome for outcome in outcomes if isinstance(outcome, str)]
     if not records:
         raise SolverFailure(f"all {spec.reps} replications failed: {failures[:3]}")
 

@@ -59,7 +59,10 @@ class LabeledDataset:
 
     @property
     def classes(self) -> np.ndarray:
-        return np.unique(self.labels)
+        """The distinct labels, ascending. Not by np.unique: its first call imports
+        numpy.ma, a module the CLI jobs otherwise never load."""
+        ordered = np.sort(self.labels)
+        return ordered[np.diff(ordered, prepend=0) != 0]  # labels are >= 1
 
     def class_rows(self, class_id) -> np.ndarray:
         return np.flatnonzero(self.labels == class_id)
