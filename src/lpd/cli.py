@@ -4,14 +4,17 @@ Subcommands: train, predict, cv, simulate, screen. Exit codes: 0 success,
 1 usage error, 2 data error, 3 solver failure. All randomness flows from
 --seed flags; repeated runs with identical flags produce byte-identical
 output files at a fixed BLAS thread count (the BLAS splits its sums by
-thread, so another count can move beta in its last bits). The only
-environment variable honored is LPD_THREADS, the number of worker
-processes that run the CV folds of `train --lambda auto` and `cv` and the
-replications of `simulate`: a positive integer, clamped to the CPU count,
-and the CPU count when unset; any other value is a usage error. Outputs do
-not depend on it. The work runs serially, in one process, when the process
-already runs more than one thread, as it does when the BLAS starts its own
-threads (OpenBLAS does unless OPENBLAS_NUM_THREADS=1).
+thread, so another count can move beta in its last bits). LPD_THREADS caps
+the worker processes that run the CV folds of `train --lambda auto` and
+`cv`, the replications of `simulate`, and the pieces of a large plain
+--data file that `train`, `predict`, `cv` and `screen` read: a positive
+integer, clamped to the CPU count, and the CPU count when unset; any other
+value is a usage error. Outputs do not depend on it. The work runs
+serially, in one process, when the process already runs more than one
+thread, as it does when the BLAS starts its own threads. So the `lpd`
+console script (lpd_main) sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 where they are unset, before numpy loads; a value
+the user set is kept.
 """
 
 from __future__ import annotations
@@ -67,6 +70,13 @@ def _schema(args):
         return dataio.DataFileSchema(
             delimiter=args.delimiter, label_column=args.label_column, has_header=args.has_header
         )
+
+
+def _reader(args):
+    """(schema, worker cap) for reading --data; a bad flag or LPD_THREADS is a usage error."""
+    schema = _schema(args)
+    with _flag_values(args.command):
+        return schema, _max_workers()
 
 
 def _positive_float(text):
@@ -167,7 +177,7 @@ def _cross_validate(args, data, moments, ridge_rho=None):
 
 
 def _cmd_train(args):
-    data = dataio.load_dataset(args.data, _schema(args))
+    data = dataio.load_dataset(args.data, *_reader(args))
     moments = compute_moments(data)
     provenance = {
         "data": str(args.data),
@@ -206,8 +216,8 @@ def _cmd_train(args):
 
 def _load_feature_rows(path, args):
     if args.has_labels:
-        return dataio.load_dataset(path, _schema(args)).features
-    return dataio.load_features(path, _schema(args))
+        return dataio.load_dataset(path, *_reader(args)).features
+    return dataio.load_features(path, *_reader(args))
 
 
 def _cmd_predict(args):
@@ -221,7 +231,7 @@ def _cmd_predict(args):
 
 
 def _cmd_cv(args):
-    data = dataio.load_dataset(args.data, _schema(args))
+    data = dataio.load_dataset(args.data, *_reader(args))
     result = _cross_validate(args, data, compute_moments(data))
     text = dataio.save_cv_table(args.out, result)
     if args.out is None:
@@ -282,7 +292,7 @@ def _cmd_screen(args):
             raise ValueError("--var-min and --var-max go together")
         if not want_variance and args.top_k is None:
             raise ValueError("nothing to do; pass variance bounds and/or --top-k")
-    data = dataio.load_dataset(args.data, _schema(args))
+    data = dataio.load_dataset(args.data, *_reader(args))
     kept = np.arange(data.p)
     with _flag_values("screen"):
         if want_variance:

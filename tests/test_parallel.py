@@ -25,13 +25,15 @@ os.register_at_fork(after_in_parent=lambda: forks.append(1))
 
 
 def run_child(code, *args, **env_extra):
-    """Run ``code`` in a child on one BLAS thread; return its stdout lines.
+    """Run ``code`` in a child on one BLAS thread; return its stdout lines. An
+    ``env_extra`` value of None unsets that variable.
 
     Python 3.12 warns of a fork in a process with more than one thread. It
     clears that warning even under ``-W error``, so the check reads stderr."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("LPD_THREADS", None)
     env.update(env_extra)
+    env = {name: value for name, value in env.items() if value is not None}  # None: unset
     src = str(Path(lpd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-W", "always::DeprecationWarning", "-c",
@@ -180,3 +182,70 @@ def test_other_worker_errors_propagate():
     assert [line.rsplit(" ", 1)[0] for line in lines] == [
         "1 raised not an LpdError", "2 raised not an LpdError"]
     assert lines[1].rsplit(" ", 1)[1] != "0"
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+UNSET = dict.fromkeys(BLAS_THREADS)
+
+ENTRY = """
+import lpd_main
+code = lpd_main.main()
+print("forks", len(forks), [os.environ.get(name)
+                            for name in ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")])
+sys.exit(code)
+"""
+
+
+def test_console_script_runs_on_one_blas_thread(tmp_path):
+    """The `lpd` entry sets one BLAS thread before numpy loads, unless the user set a
+    count, so `train --lambda auto` forks its folds; `import lpd` changes nothing."""
+    lines = run_child("import lpd.cli; print(sorted(set(os.environ) & set(sys.argv[1:])))",
+                      *BLAS_THREADS, **UNSET)
+    assert lines == ["[]"]
+    data = tmp_path / "wide.csv"
+    write_wide(data, np.random.default_rng(4))
+    argv = ["train", "--data", data, "--lambda", "auto", "--seed", "2", "--out"]
+    run_child(CLI, *argv, tmp_path / "one.json")
+    lines = run_child(ENTRY, *argv, tmp_path / "entry.json", **UNSET, LPD_THREADS="2")
+    forks = 2 if (os.cpu_count() or 1) >= 2 else 0
+    assert lines[-1] == f"forks {forks} ['1', '1', '1']"
+    assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+    lines = run_child(ENTRY, *argv, tmp_path / "user.json", **{**UNSET, "OMP_NUM_THREADS": "3"})
+    assert lines[-1].endswith(" ['1', '3', '1']")
+
+
+PREDICT = """
+from lpd import dataio
+from lpd.cli import main
+dataio.PIECE_BYTES = 1 << 20
+if sys.argv[1] == "threaded":
+    stop = threading.Event()
+    threading.Thread(target=stop.wait, daemon=True).start()
+code = main(sys.argv[2:])
+print("forks", len(forks))
+sys.exit(code)
+"""
+
+
+def test_predict_parses_a_large_file_on_workers(tmp_path):
+    """A plain file above the piece size is parsed in pieces on forked workers, with
+    the serial run's output; beside a second thread nothing forks."""
+    rng = np.random.default_rng(6)
+    train, labeled, batch = (tmp_path / name for name in ("train.csv", "labeled.csv", "batch.csv"))
+    write_wide(train, rng, n=40, p=20)
+    write_wide(labeled, rng, n=7000, p=20)
+    batch.write_text("".join(line.split(",", 1)[1] for line in labeled.open()))
+    assert batch.stat().st_size > 2 << 20
+    model = tmp_path / "model.json"
+    run_child(CLI, "train", "--data", train, "--lambda", "0.5", "--out", model)
+    workers = 2 if (os.cpu_count() or 1) >= 2 else 0
+    for data, flags in ((batch, []), (labeled, ["--has-labels"])):
+        outputs = {}
+        for mode, threads, expected_forks in (("serial", "1", 0), ("forked", "2", workers),
+                                               ("threaded", "2", 0)):
+            out = tmp_path / f"{mode}{len(flags)}.csv"
+            lines = run_child(PREDICT, mode, "predict", "--model", model, "--data", data,
+                              *flags, "--out", out, LPD_THREADS=threads)
+            assert lines[-1] == f"forks {expected_forks}", (flags, mode)
+            outputs[mode] = out.read_bytes()
+        assert outputs["forked"] == outputs["serial"] == outputs["threaded"], flags

@@ -4,7 +4,9 @@
 and hand whatever that pass does not accept to `dataio._exact_rows`, the
 csv-module and `float()` reader that names errors. Whichever reads a file,
 the result must be what `_exact_rows` alone gives: bit-identical arrays,
-labels and label names, or the same error type and message.
+labels and label names, or the same error type and message. That holds too
+when a large plain file is cut into pieces, one `np.loadtxt` pass each,
+stitched into one array.
 """
 
 import tempfile
@@ -36,11 +38,11 @@ def outcome(read):
     return value.dtype, value.shape, value.flags.c_contiguous, value.tobytes()
 
 
-def assert_same(path, schema):
+def assert_same(path, schema, max_workers=1):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        public = (outcome(lambda: load_dataset(path, schema)),
-                  outcome(lambda: load_features(path, schema)))
+        public = (outcome(lambda: load_dataset(path, schema, max_workers)),
+                  outcome(lambda: load_features(path, schema, max_workers)))
     exact = (
         outcome(lambda: LabeledDataset(*dataio._exact_rows(path, schema, schema.label_column))),
         outcome(lambda: dataio._exact_rows(path, schema, None)[0]),
@@ -251,3 +253,101 @@ def test_field_over_the_csv_limit_before_the_nonfinite_row(tmp_path):
     """A plain file's lines are only counted, but a field csv would refuse still raises."""
     path = write(tmp_path, "A,1,2\nB,3," + " " * 140_000 + "4\nA,nan,5\n")
     assert_same(path, DataFileSchema())
+
+
+def cut_into_pieces(monkeypatch, piece_bytes):
+    """Split files into pieces of at least ``piece_bytes``, parsed one after another in
+    this process; returns the list of piece counts of the reads that follow."""
+    counts = []
+
+    def serial(fn, shared, count, max_workers):
+        counts.append(count)
+        return [fn(*shared, i) for i in range(count)]
+
+    monkeypatch.setattr(dataio, "PIECE_BYTES", piece_bytes)
+    monkeypatch.setattr(dataio, "map_tasks", serial)
+    return counts
+
+
+def split_rows(n, label_column, newline="\n", blank=False):
+    """n labeled rows of two features; label C first appears in the last quarter."""
+    lines = []
+    for i in range(n):
+        cells = [f"{i}.25", str(-3 * i)]
+        cells.insert(label_column, "C" if i >= 3 * n // 4 else " AB"[1 + i % 2])
+        lines += [",".join(cells)] + [""] * blank
+    return newline.join(lines) + newline
+
+
+@pytest.mark.parametrize("label_column", [0, 1, 2])
+@pytest.mark.parametrize("newline, blank", [("\n", False), ("\r\n", True), ("\n", True)])
+@pytest.mark.parametrize("piece_bytes", [23, 40, 61])
+def test_split_read_stitches_pieces(tmp_path, monkeypatch, label_column, newline, blank,
+                                    piece_bytes):
+    """Label ids follow first-seen order across pieces, and blank lines and CRLF
+    line ends may sit on either side of a cut."""
+    path = write(tmp_path, split_rows(24, label_column, newline, blank))
+    counts = cut_into_pieces(monkeypatch, piece_bytes)
+    schema = DataFileSchema(label_column=label_column)
+    assert_same(path, schema, max_workers=4)
+    assert counts and all(count == 4 for count in counts)
+    data = load_dataset(path, schema, 4)
+    assert data.label_names == ("A", "B", "C") and data.labels[-1] == 3
+    assert dataio._loadtxt_rows(path, schema, label_column, 4) is not None  # stitched
+
+
+@pytest.mark.parametrize("text", [
+    "label,x,y\n" + split_rows(20, 0),
+    "label,x,y\r\n\r\n" + split_rows(20, 0, "\r\n", blank=True),
+    split_rows(20, 0).rstrip("\n"),
+    split_rows(20, 0, "\r\n").rstrip("\r\n"),
+])
+def test_split_read_header_and_last_line(tmp_path, monkeypatch, text):
+    path = write(tmp_path, text)
+    counts = cut_into_pieces(monkeypatch, 30)
+    schema = DataFileSchema(has_header=text.startswith("label"))
+    assert_same(path, schema, max_workers=3)
+    assert counts and all(count == 3 for count in counts)
+    assert dataio._loadtxt_rows(path, schema, 0, 3) is not None
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("nan", "row 24, column 2: non-finite value 'nan'"),
+    ("ragged", "row 24 has 4 fields, expected 3"),
+    ("not UTF-8", "not UTF-8 text (byte 0xe9 cannot be decoded)"),
+])
+def test_split_read_error_in_the_last_piece(tmp_path, monkeypatch, fault, message):
+    lines = split_rows(24, 0).splitlines()
+    lines[-1] = {"nan": "A,1,nan", "ragged": "A,1,2,3", "not UTF-8": "caf\xe9,1,2"}[fault]
+    path = write(tmp_path, ("\n".join(lines) + "\n").encode("latin-1"))
+    counts = cut_into_pieces(monkeypatch, 40)
+    assert_same(path, DataFileSchema(), max_workers=3)
+    with pytest.raises(dataio.DataError) as error:
+        load_dataset(path, DataFileSchema(), 3)
+    assert str(error.value) == f"{path}: {message}"
+    assert counts and all(count == 3 for count in counts)
+
+
+@pytest.mark.parametrize("text", [
+    split_rows(20, 0).replace("A,", '"A",', 1),  # a quote: a record may span lines
+    ",".join(str(i) for i in range(300)) + "\n",  # one long line
+    ",".join(str(i) for i in range(300)) + "\n" * 400,  # a slot per blank line: too large
+])
+def test_split_read_keeps_quoted_files_and_single_lines_whole(tmp_path, monkeypatch, text):
+    path = write(tmp_path, text)
+    counts = cut_into_pieces(monkeypatch, 10)
+    assert_same(path, DataFileSchema(), max_workers=4)
+    assert counts and all(count == 1 for count in counts)
+
+
+def test_split_read_across_the_scan_chunks(tmp_path, monkeypatch):
+    """Cut targets in several 1 MB scan chunks, in lines that straddle a chunk end."""
+    rng = np.random.default_rng(5)
+    lines = [",".join(["AB"[i % 2]] + [repr(float(v)) for v in rng.standard_normal(4000)])
+             for i in range(20)]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    assert path.stat().st_size > 1 << 20
+    counts = cut_into_pieces(monkeypatch, 150_000)
+    assert_same(path, DataFileSchema(), max_workers=9)
+    assert counts and all(count == 9 for count in counts)
+    assert dataio._loadtxt_rows(path, DataFileSchema(), 0, 9) is not None
