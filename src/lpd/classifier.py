@@ -68,19 +68,30 @@ def auto_ridge(p, n) -> float:
 
 
 def decision_scores(model: LpdModel, x) -> np.ndarray:
-    """(z - mu_hat)' beta for one sample (1-D) or a batch (2-D)."""
+    """(z - mu_hat)' beta for one sample (1-D, a float) or a batch (2-D, an array).
+
+    A full-width input keeps the model's ``kept_indices`` columns. A batch is
+    scored in :func:`~lpd.linalg.row_blocks`, each selected and centred on its
+    own, so the temporaries are a block's, not the batch's. For a C-contiguous
+    batch at one BLAS thread the scores are those of the one product
+    ``(x[:, kept] - mu_hat) @ beta``, byte for byte.
+    """
     arr = np.asarray(x, dtype=float)
     batch = np.atleast_2d(arr)
+    cols = None
     if model.kept_indices is not None and batch.shape[1] != model.p:
         if batch.shape[1] <= int(model.kept_indices.max()):
             raise DimensionMismatch(
                 f"input has {batch.shape[1]} features; kept indices reach "
                 f"{int(model.kept_indices.max())}"
             )
-        batch = batch[:, model.kept_indices]
-    if batch.shape[1] != model.p:
+        cols = model.kept_indices
+    elif batch.shape[1] != model.p:
         raise DimensionMismatch(f"expected {model.p} features, got {batch.shape[1]}")
-    scores = (batch - model.mu_hat) @ model.beta
+    scores = np.empty(len(batch))
+    for start, stop in linalg.row_blocks(len(batch), model.p):
+        block = batch[start:stop] if cols is None else batch[start:stop, cols]
+        scores[start:stop] = (block - model.mu_hat) @ model.beta
     return scores if arr.ndim > 1 else float(scores[0])
 
 
@@ -225,25 +236,3 @@ def oracle_fisher(mu1, mu2, omega) -> LpdModel:
         metadata={"method": "oracle"},
     )
 
-
-def oracle_independence_gap(sigma, delta):
-    """Separation of the independence rule versus the full-covariance rule.
-
-    Returns (upsilon_p, delta_p) where
-    upsilon_p = delta' D^{-1} delta / sqrt(delta' D^{-1} Sigma D^{-1} delta)
-    with D = diag(Sigma), and delta_p = delta' Sigma^{-1} delta. Always
-    delta_p >= upsilon_p ** 2.
-    """
-    sigma = linalg.check_symmetric(sigma, "sigma")
-    delta = linalg.as_vector(delta, "delta")
-    if sigma.shape[0] != delta.size:
-        raise DimensionMismatch("sigma and delta dimensions must agree")
-    diag = np.diag(sigma)
-    if np.any(diag <= 0):
-        raise ZeroVariance("sigma has a non-positive diagonal entry")
-    if not np.any(delta):
-        return 0.0, 0.0
-    scaled = delta / diag
-    upsilon = float(delta @ scaled) / math.sqrt(float(scaled @ sigma @ scaled))
-    delta_p = float(delta @ linalg.cholesky_solve(sigma, delta))
-    return upsilon, delta_p

@@ -222,8 +222,8 @@ def _load_feature_rows(path, args):
 
 def _cmd_predict(args):
     model = dataio.load_model(args.model)
-    features = _load_feature_rows(args.data, args)
-    scores = decision_scores(model, features)
+    scores = decision_scores(model, _load_feature_rows(args.data, args))
+    # the batch is freed here, before the predictions file's text is built
     classes = np.where(scores >= model.threshold, 1, 2)
     dataio.save_predictions(args.out, classes, scores)
     print(f"wrote {args.out} ({len(np.atleast_1d(classes))} predictions)")

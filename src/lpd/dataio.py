@@ -27,6 +27,7 @@ import numpy as np
 
 from .classifier import LpdModel
 from .errors import DataError, NonFiniteValue, ParseError, RaggedRows, SchemaVersionMismatch
+from .linalg import row_blocks
 from .parallel import map_tasks
 from .stats import LabeledDataset
 
@@ -140,9 +141,9 @@ def _loadtxt_rows(path, schema: DataFileSchema, label_column, max_workers=1):
     ranges, one :func:`_parse_piece` task each on
     :func:`lpd.parallel.map_tasks`. Each task writes its rows into its slot
     of one shared array: a range's newlines bound its rows, and the file's
-    first nonblank line gives the width. Label ids are renumbered in piece
-    order, which keeps first-seen order. Any other file is one piece, which
-    is parsed here into its own array.
+    first nonblank line gives the width. Any other file is one piece, which
+    is parsed here into its own array. Either way :func:`_compact_rows` turns
+    that array into the result in place.
     """
     if label_column is not None and label_column < 0:
         return None
@@ -186,29 +187,54 @@ def _loadtxt_rows(path, schema: DataFileSchema, label_column, max_workers=1):
     results = map_tasks(_parse_piece, (path, schema, label_column, cuts + [offset], slots),
                         len(cuts), max_workers)
     if slots is None:
-        out = results[0][0]
-        counts = [len(out)]
+        grid = results[0][0]
+        pieces = [(0, len(grid), results[0][2])]
     else:
         buffer, starts, width = slots
-        counts = [rows for rows, _, _ in results]
-        out = np.frombuffer(buffer, dtype=float).reshape(-1, width)
-        if sum(counts) < len(out):  # blank lines left part of a slot empty
-            out = np.concatenate([out[start:start + rows] for start, rows in zip(starts, counts)])
+        grid = np.frombuffer(buffer, dtype=float).reshape(-1, width)
+        pieces = [(start, rows, names) for start, (rows, _, names) in zip(starts, results)]
     header_width = results[0][1]
-    if not out.size or (header_width and header_width != out.shape[1]):
+    if not any(rows for _, rows, _ in pieces) or (header_width and header_width != grid.shape[1]):
         return None
-    bad_rows = np.flatnonzero(~np.isfinite(out).all(axis=1))
-    if bad_rows.size:
-        raise _nonfinite_error(path, schema, label_column, int(bad_rows[0]), not quoted)
-    if label_column is None:
-        return out, np.empty(0, dtype=int), ()
+    return _compact_rows(path, schema, label_column, grid, pieces, not quoted)
+
+
+def _compact_rows(path, schema: DataFileSchema, label_column, grid, pieces, plain):
+    """:func:`_read_rows`'s result from the parsed rows in ``grid``, a C-contiguous
+    array that it overwrites.
+
+    ``pieces`` holds a (first row, row count, label names) triple per piece,
+    in file order; a piece's label ids number its names from 1, and are
+    renumbered in piece order, which keeps first-seen order. Row block by row
+    block, the rows are checked for non-finite values, their label column is
+    read and dropped, and the rest moves forward to follow the rows before.
+    So the features are the front of ``grid``'s own buffer, C-contiguous, and
+    no second matrix is made.
+    """
+    rows = sum(count for _, count, _ in pieces)
+    width = grid.shape[1]
+    p = width - (label_column is not None)
+    features = grid if rows * p == grid.size else grid.reshape(-1)[:rows * p].reshape(rows, p)
     names: dict[str, int] = {}
-    labels, start = [], 0
-    for rows, (_, _, piece_names) in zip(counts, results):
+    labels, row = [], 0
+    for start, count, piece_names in pieces:
         ids = np.array([0] + [names.setdefault(name, len(names) + 1) for name in piece_names])
-        labels.append(ids[out[start:start + rows, label_column].astype(int)])
-        start += rows
-    return np.delete(out, label_column, axis=1), np.concatenate(labels), tuple(names)
+        for first, stop in row_blocks(count, width):
+            block = grid[start + first:start + stop]
+            bad_rows = np.flatnonzero(~np.isfinite(block).all(axis=1))
+            if bad_rows.size:
+                raise _nonfinite_error(path, schema, label_column,
+                                       row + first + int(bad_rows[0]), plain)
+            if label_column is not None:
+                labels.append(ids[block[:, label_column].astype(int)])
+                block = np.delete(block, label_column, axis=1)
+            # Never past this block's own rows. numpy copies a block that overlaps
+            # its target through a temporary, and skips one that is its target.
+            features[row + first:row + stop] = block
+        row += count
+    if label_column is None:
+        return features, np.empty(0, dtype=int), ()
+    return features, np.concatenate(labels), tuple(names)
 
 
 def _parse_piece(path, schema: DataFileSchema, label_column, cuts, slots, index):

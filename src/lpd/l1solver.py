@@ -201,20 +201,6 @@ class StandardFormLp:
         z1, z2 = blocks[..., 0, :], blocks[..., 1, :]
         return z2 - z1 + self.times_a(blocks[..., 3, :] - blocks[..., 2, :]), -(z1 + z2)
 
-    def constraint_matrix(self) -> np.ndarray:
-        """Materialized 4p x 2p inequality matrix (inspection and tests only)."""
-        p = self.p
-        eye = np.eye(p)
-        zero = np.zeros((p, p))
-        return np.block(
-            [
-                [-eye, -eye],
-                [eye, -eye],
-                [-self.a_rho, zero],
-                [self.a_rho, zero],
-            ]
-        )
-
 
 def build_lp(problem: LpProblem) -> StandardFormLp:
     """Recast the constrained l1 program as the standard-form inequality LP."""

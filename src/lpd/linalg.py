@@ -31,6 +31,9 @@ SYMMETRY_RTOL = 1e-10
 # pseudo_inverse treats eigenvalues with |w_i| <= RANK_TOL * max|w| as zero.
 RANK_TOL = 1e-10
 _FLAPACK = "scipy.linalg._flapack"
+# A pass over a large matrix in row blocks of about this size holds temporaries
+# of a block, not of the matrix.
+_BLOCK_BYTES = 1 << 20
 
 
 def as_matrix(a, name="matrix"):
@@ -62,6 +65,25 @@ def check_symmetric(a, name="matrix"):
     if np.abs(m - m.T).max() > SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(f"{name} is not symmetric within tolerance")
     return 0.5 * (m + m.T)
+
+
+def row_blocks(n, width):
+    """(start, stop) bounds of consecutive row blocks of an (n, width) float64
+    array, each of about :data:`_BLOCK_BYTES`.
+
+    A block holds a power of two of at least 4 rows, so a matrix-vector product
+    taken block by block keeps OpenBLAS's groups of 4 rows: at one BLAS thread
+    each row rounds as in one product over the whole array. A lone last row joins
+    the block before it, as numpy computes a one-row product by dot, not gemv,
+    which can round differently. At more BLAS threads OpenBLAS splits a product's
+    rows between them, and a row's last bits can depend on the batch, blocked or not.
+    """
+    step = 1 << max(2, (_BLOCK_BYTES // (8 * max(width, 1))).bit_length() - 1)
+    start = 0
+    while start < n:
+        stop = n if start + step >= n - 1 else start + step
+        yield start, stop
+        start = stop
 
 
 @functools.cache

@@ -21,6 +21,7 @@ from .errors import (
     TooFewSamples,
     TopKExceedsP,
 )
+from .linalg import row_blocks
 
 
 @dataclass
@@ -44,7 +45,8 @@ class LabeledDataset:
             raise DimensionMismatch(
                 f"{self.features.shape[0]} rows but {self.labels.size} labels"
             )
-        if not np.all(np.isfinite(self.features)):
+        if not all(np.isfinite(self.features[start:stop]).all()
+                   for start, stop in row_blocks(*self.features.shape)):
             raise NonFiniteValue("features contain NaN or infinite values")
         if self.labels.size and self.labels.min() < 1:
             raise ValueError("class labels must be integers >= 1")

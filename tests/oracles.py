@@ -6,6 +6,8 @@ self-contained, so they can serve as oracles for the library paths they
 check.
 """
 
+import math
+
 import numpy as np
 
 
@@ -151,21 +153,36 @@ def simplex_solve(c, g, h, tol=1e-8):
 def l1_oracle(a_rho, b, lam):
     """Brute-force optimum of min |beta|_1 s.t. |A_rho beta - b|_inf <= lam,
     through the generic simplex on the (beta, u) standard form."""
-    a_rho = np.asarray(a_rho, dtype=float)
     b = np.asarray(b, dtype=float)
     p = b.size
-    eye = np.eye(p)
-    zero = np.zeros((p, p))
-    g = np.block(
-        [
-            [-eye, -eye],
-            [eye, -eye],
-            [-a_rho, zero],
-            [a_rho, zero],
-        ]
-    )
     lam_vec = np.full(p, lam)
     h = np.concatenate([np.zeros(p), np.zeros(p), lam_vec - b, lam_vec + b])
     c = np.concatenate([np.zeros(p), np.ones(p)])
-    x, objective = simplex_solve(c, g, h)
+    x, objective = simplex_solve(c, constraint_matrix(a_rho), h)
     return x[:p], objective
+
+
+def constraint_matrix(a_rho):
+    """The 4p x 2p inequality matrix G of the (beta, u) standard form, G (beta, u)
+    <= h: rows -beta - u, beta - u, -A_rho beta and A_rho beta."""
+    a_rho = np.asarray(a_rho, dtype=float)
+    eye = np.eye(a_rho.shape[0])
+    zero = np.zeros_like(a_rho)
+    return np.block([[-eye, -eye], [eye, -eye], [-a_rho, zero], [a_rho, zero]])
+
+
+def oracle_independence_gap(sigma, delta):
+    """Separation of the independence rule versus the full-covariance rule.
+
+    Returns (upsilon_p, delta_p) where
+    upsilon_p = delta' D^{-1} delta / sqrt(delta' D^{-1} Sigma D^{-1} delta)
+    with D = diag(Sigma), and delta_p = delta' Sigma^{-1} delta. Always
+    delta_p >= upsilon_p ** 2.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    if not np.any(delta):
+        return 0.0, 0.0
+    scaled = delta / np.diag(sigma)
+    upsilon = float(delta @ scaled) / math.sqrt(float(scaled @ sigma @ scaled))
+    return upsilon, float(delta @ gauss_solve(sigma, delta))

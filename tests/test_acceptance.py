@@ -15,7 +15,6 @@ from scipy.special import ndtr
 from lpd.classifier import (
     LpdModel,
     fit_lpd,
-    oracle_independence_gap,
     predict,
 )
 from lpd.l1solver import OPTIMAL, LpProblem, solve
@@ -24,7 +23,7 @@ from lpd.model_selection import CvPlan, cross_validate
 from lpd.simulation import SimulationSpec, build_model, run_benchmark
 from lpd.stats import LabeledDataset
 
-from oracles import l1_oracle, soft_threshold
+from oracles import l1_oracle, oracle_independence_gap, soft_threshold
 
 SEED = 0
 

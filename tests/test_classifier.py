@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,11 +12,14 @@ from lpd.classifier import (
     fit_naive_bayes,
     fit_ofair,
     oracle_fisher,
-    oracle_independence_gap,
     predict,
 )
+from lpd import linalg
 from lpd.errors import DimensionMismatch, EmptySupport, ZeroVariance
 from lpd.stats import LabeledDataset, compute_moments
+
+from oracles import oracle_independence_gap
+from test_parallel import run_child
 
 
 def toy_1d():
@@ -160,6 +165,58 @@ class TestPredict:
         original = predict(m1, points)
         off_boundary = np.abs(s1) > 1e-12
         assert np.all(original[off_boundary] != flipped[off_boundary])
+
+
+# Scores of every batch size around a block's B rows, by blocks and by the one
+# product, at one BLAS thread: more threads split the one product's rows by
+# the batch's size.
+BLOCK_SCORES = """
+import numpy as np
+from lpd.classifier import LpdModel, decision_scores
+from lpd.linalg import row_blocks
+
+rng = np.random.default_rng(11)
+for p in (1, 3, 200):
+    b = next(row_blocks(1 << 30, p))[1]
+    for n in (1, 2, b - 1, b, b + 1, 2 * b + 1):
+        for kept in (None, np.arange(1, 2 * p, 2)):
+            x = rng.standard_normal((n, p if kept is None else 2 * p + 1)) * 10
+            model = LpdModel(beta=rng.standard_normal(p), mu_hat=rng.standard_normal(p),
+                             kept_indices=kept)
+            one_product = ((x if kept is None else x[:, kept]) - model.mu_hat) @ model.beta
+            same = decision_scores(model, x).tobytes() == one_product.tobytes()
+            print(p, n, kept is not None, same)
+"""
+
+
+class TestBlockScoring:
+    def test_blocks_score_as_one_product(self):
+        lines = run_child(BLOCK_SCORES)
+        assert len(lines) == 36
+        assert [line for line in lines if not line.endswith("True")] == []
+
+    def test_one_sample_scores_as_a_float(self):
+        model = LpdModel(beta=[1.0, -2.0, 0.5], mu_hat=[0.1, 0.2, 0.3], kept_indices=[0, 2, 4])
+        x = np.array([1.0, 9.0, 2.0, 9.0, 3.0])
+        score = decision_scores(model, x)
+        assert type(score) is float
+        assert score == float((x[[0, 2, 4]] - model.mu_hat) @ model.beta)
+
+    def test_scoring_allocates_blocks_not_the_batch(self):
+        """A selected block and its centred copy, not the n x p selection (6.4 MB)."""
+        rng = np.random.default_rng(12)
+        n, p = 8000, 100
+        x = rng.standard_normal((n, 2 * p))
+        model = LpdModel(beta=rng.standard_normal(p), mu_hat=rng.standard_normal(p),
+                         kept_indices=np.arange(0, 2 * p, 2))
+        tracemalloc.start()
+        try:
+            scores = decision_scores(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (n,)
+        assert peak < 2 * linalg._BLOCK_BYTES + 8 * n + (64 << 10)
 
 
 class TestBaselines:

@@ -10,6 +10,7 @@ stitched into one array.
 """
 
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpd import dataio
+from lpd import dataio, linalg
 from lpd.dataio import DataFileSchema, load_dataset, load_features
 from lpd.errors import NonFiniteValue
 from lpd.stats import LabeledDataset
@@ -351,3 +352,69 @@ def test_split_read_across_the_scan_chunks(tmp_path, monkeypatch):
     assert_same(path, DataFileSchema(), max_workers=9)
     assert counts and all(count == 9 for count in counts)
     assert dataio._loadtxt_rows(path, DataFileSchema(), 0, 9) is not None
+
+
+@pytest.mark.parametrize("label_column", [0, 1, 2, None])
+@pytest.mark.parametrize("blank", [False, True])
+@pytest.mark.parametrize("fault", [None, "nan"])
+@pytest.mark.parametrize("max_workers", [1, 4])
+def test_label_dropped_in_place_block_by_block(tmp_path, monkeypatch, label_column, blank, fault,
+                                               max_workers):
+    """Four-row blocks: each is checked and loses its label column, and the rest
+    moves forward over the label cells and the empty slot rows that blank lines
+    leave. At one worker the file is one piece; at four it is cut. With no label
+    column the file holds only the two features."""
+    lines = split_rows(40, label_column or 0, blank=blank).splitlines()
+    if label_column is None:
+        lines = [line.split(",", 1)[1] if line else line for line in lines]
+    if fault:  # a feature of the fifth row from the end
+        at = [i for i, line in enumerate(lines) if line][-5]
+        cells = lines[at].split(",")
+        cells[0 if label_column is None else (label_column + 1) % 3] = "nan"
+        lines[at] = ",".join(cells)
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 100)  # 4 rows of 3 cells
+    counts = cut_into_pieces(monkeypatch, 60)
+    schema = DataFileSchema(label_column=label_column or 0)
+    assert_same(path, schema, max_workers)
+    assert counts and all(count == max_workers for count in counts)
+    if not fault:
+        features = (load_features(path, schema, max_workers) if label_column is None
+                    else load_dataset(path, schema, max_workers).features)
+        assert features.flags.c_contiguous
+        assert features[:, 0].tolist() == [i + 0.25 for i in range(40)]
+    if not fault and label_column is not None:
+        data = load_dataset(path, schema, max_workers)
+        assert data.label_names == ("A", "B", "C") and data.labels[-1] == 3
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_labeled_read_allocates_no_second_matrix(tmp_path, monkeypatch, split):
+    """With the label in a middle column, a read's traced peak stays under
+    one and a half feature matrices in one piece (the parsed array is one),
+    and under one cut into eight (the rows go to an untraced shared mapping)."""
+    rng = np.random.default_rng(8)
+    n, p = 5000, 100
+    rows = ["%.17g," * 50 % tuple(row[:50]) + "AB"[i % 2] + ",%.17g" * 50 % tuple(row[50:])
+            for i, row in enumerate(rng.standard_normal((n, p)))]
+    path = write(tmp_path, "\n".join(rows) + "\n")
+    if split:
+        cut_into_pieces(monkeypatch, path.stat().st_size // 8)
+    tracemalloc.start()
+    try:
+        data = load_dataset(path, DataFileSchema(label_column=50), 8 if split else 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.features.shape == (n, p) and data.label_names == ("A", "B")
+    assert peak < (1.0 if split else 1.5) * n * p * 8
+
+
+@pytest.mark.parametrize("text", ["\n" * 200, "a,b\n" + "\r\n" * 100],
+                         ids=["blank lines", "a header over blank lines"])
+def test_split_read_of_blank_lines_has_no_rows(tmp_path, monkeypatch, text):
+    """Slots sized by newlines, and every piece parses no row."""
+    path = write(tmp_path, text)
+    counts = cut_into_pieces(monkeypatch, 40)
+    assert_same(path, DataFileSchema(has_header=text.startswith("a")), max_workers=4)
+    assert counts and all(count == 4 for count in counts)

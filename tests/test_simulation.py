@@ -170,7 +170,7 @@ class TestOracleRate:
 
     def test_oracle_error_beats_independence_rule(self):
         """Phi(-sqrt(sep)/2) <= Phi(-upsilon/2) on every generated model."""
-        from lpd.classifier import oracle_independence_gap
+        from oracles import oracle_independence_gap
 
         for model_id, seed in ((1, 0), (2, 1), (3, 2)):
             truth = build_model(
