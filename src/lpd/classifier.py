@@ -61,6 +61,20 @@ class LpdModel:
     def p(self) -> int:
         return self.beta.size
 
+    def columns(self, width):
+        """The columns of a row of ``width`` features that the model scores: None for
+        all of them, or ``kept_indices`` of a wider row. Raises DimensionMismatch
+        when the width fits neither."""
+        if width == self.p:
+            return None
+        if self.kept_indices is None:
+            raise DimensionMismatch(f"expected {self.p} features, got {width}")
+        if width <= int(self.kept_indices.max()):
+            raise DimensionMismatch(
+                f"input has {width} features; kept indices reach {int(self.kept_indices.max())}"
+            )
+        return self.kept_indices
+
 
 def auto_ridge(p, n) -> float:
     """Default ridge perturbation sqrt(log p / n)."""
@@ -70,24 +84,18 @@ def auto_ridge(p, n) -> float:
 def decision_scores(model: LpdModel, x) -> np.ndarray:
     """(z - mu_hat)' beta for one sample (1-D, a float) or a batch (2-D, an array).
 
-    A full-width input keeps the model's ``kept_indices`` columns. A batch is
-    scored in :func:`~lpd.linalg.row_blocks`, each selected and centred on its
-    own, so the temporaries are a block's, not the batch's. For a C-contiguous
-    batch at one BLAS thread the scores are those of the one product
-    ``(x[:, kept] - mu_hat) @ beta``, byte for byte.
+    A full-width input keeps the model's ``kept_indices`` columns
+    (:meth:`LpdModel.columns`); an input of another width raises
+    DimensionMismatch. A batch is scored in :func:`~lpd.linalg.row_blocks`,
+    each selected and centred on its own, so the temporaries are a block's,
+    not the batch's. For a C-contiguous batch at one BLAS thread the scores
+    are those of the one product ``(x[:, kept] - mu_hat) @ beta``, byte for
+    byte. Each row is scored on its own, so a batch may also come in parts,
+    as ``lpd predict`` scores a file (:func:`lpd.dataio.score_rows`).
     """
     arr = np.asarray(x, dtype=float)
     batch = np.atleast_2d(arr)
-    cols = None
-    if model.kept_indices is not None and batch.shape[1] != model.p:
-        if batch.shape[1] <= int(model.kept_indices.max()):
-            raise DimensionMismatch(
-                f"input has {batch.shape[1]} features; kept indices reach "
-                f"{int(model.kept_indices.max())}"
-            )
-        cols = model.kept_indices
-    elif batch.shape[1] != model.p:
-        raise DimensionMismatch(f"expected {model.p} features, got {batch.shape[1]}")
+    cols = model.columns(batch.shape[1])
     scores = np.empty(len(batch))
     for start, stop in linalg.row_blocks(len(batch), model.p):
         block = batch[start:stop] if cols is None else batch[start:stop, cols]

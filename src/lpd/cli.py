@@ -214,19 +214,29 @@ def _cmd_train(args):
     return 0
 
 
-def _load_feature_rows(path, args):
-    if args.has_labels:
-        return dataio.load_dataset(path, *_reader(args)).features
-    return dataio.load_features(path, *_reader(args))
+def _load_feature_rows(path, args, model):
+    """The decision scores of the rows of --data (:func:`lpd.dataio.score_rows`), the
+    label column dropped under --has-labels. perfbench/spans.py traces this
+    function, under this name, as the parse."""
+    schema, max_workers = _reader(args)
+    label_column = schema.label_column if args.has_labels else None
+    return dataio.score_rows(path, model, decision_scores, schema, label_column, max_workers)
 
 
 def _cmd_predict(args):
+    """Score --data with --model and write the predictions file.
+
+    The rows are parsed in chunks, each scored and let go, on forked workers
+    when the file is large and plain, so no process holds the batch; the
+    predictions file is formatted a block of rows at a time. Rows whose width
+    does not fit the model are a data error naming the file, found at the
+    first chunk.
+    """
     model = dataio.load_model(args.model)
-    scores = decision_scores(model, _load_feature_rows(args.data, args))
-    # the batch is freed here, before the predictions file's text is built
-    classes = np.where(scores >= model.threshold, 1, 2)
+    scores = _load_feature_rows(args.data, args, model)
+    classes = np.where(scores >= model.threshold, np.int8(1), np.int8(2))  # a byte a row
     dataio.save_predictions(args.out, classes, scores)
-    print(f"wrote {args.out} ({len(np.atleast_1d(classes))} predictions)")
+    print(f"wrote {args.out} ({len(scores)} predictions)")
     return 0
 
 

@@ -8,8 +8,13 @@ output.
 Datasets are read by np.loadtxt, and what it does not take by the csv
 module and ``float``, with the same result or error either way. A plain
 file (no quote character) of at least two :data:`PIECE_BYTES` is cut at
-line ends and its pieces are parsed on forked worker processes into one
-shared array (:func:`lpd.parallel.map_tasks`).
+line ends into pieces, parsed on forked worker processes
+(:func:`lpd.parallel.map_tasks`) in line-aligned chunks of about
+:data:`CHUNK_BYTES`. :func:`load_dataset` and :func:`load_features` write
+each chunk's rows into its piece's slot of one shared array, and parse a
+file of one piece whole. :func:`score_rows`, which ``lpd predict`` uses,
+reads any plain file in chunks and scores each chunk's rows and lets them
+go, so no process holds the rows it scores.
 """
 
 from __future__ import annotations
@@ -20,13 +25,16 @@ import io
 import json
 import math
 import os
+import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .classifier import LpdModel
-from .errors import DataError, NonFiniteValue, ParseError, RaggedRows, SchemaVersionMismatch
+from .errors import (DataError, DimensionMismatch, NonFiniteValue, ParseError, RaggedRows,
+                     SchemaVersionMismatch)
 from .linalg import row_blocks
 from .parallel import map_tasks
 from .stats import LabeledDataset
@@ -37,7 +45,13 @@ MODEL_SCHEMA_VERSION = 1
 # 30 ms a MB (2 vCPUs): a 4 MB file took 0.12 s either way, an 8 MB file
 # 0.25 s whole and 0.19 s in two pieces.
 PIECE_BYTES = 4 << 20
+# A piece is parsed in line-aligned chunks of about this size, so that a
+# worker holds a chunk's text and rows, not its piece's.
+CHUNK_BYTES = 1 << 20
 REPORT_HEADER = ("section", "name", "mean", "sd")
+_LONE_CR = re.compile(rb"\r(?!\n)")
+# Cells of a CSV file formatted at a time: about 1 MB of Python strings.
+_WRITE_CELLS = 1 << 14
 
 
 @dataclass
@@ -60,6 +74,7 @@ def fmt_float(x) -> str:
 
 def _atomic_write(*outputs):
     """Write each (path, text) pair to a temporary file, then rename them all into place.
+    A text is a string, or an iterable of strings written one after another.
 
     Every temporary file is written before the first rename, so a failed write
     leaves none of the outputs; if a rename fails, the outputs already renamed
@@ -73,7 +88,7 @@ def _atomic_write(*outputs):
             staged.append((f"{path}.tmp.{os.getpid()}.{len(staged)}", path, os.path.exists(path)))
             try:
                 with open(staged[-1][0], "w", encoding="utf-8", newline="") as handle:
-                    handle.write(text)
+                    handle.writelines([text] if isinstance(text, str) else text)
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from None
         for tmp, path, existed in staged:
@@ -123,7 +138,7 @@ def _read_rows(path, schema: DataFileSchema, label_column, max_workers=1):
     column's stripped text maps to ids 1, 2, ... in first-seen order. A file
     np.loadtxt does not take goes to :func:`_exact_rows`: it names the error
     or reads what only ``float`` accepts (``1_0``), rounding alike. A file
-    np.loadtxt reads whole but for a non-finite value is not parsed again:
+    np.loadtxt reads but for a non-finite value is not parsed again:
     :func:`_nonfinite_error` names the value. A large plain file is parsed in
     pieces on up to ``max_workers`` forked workers (:func:`_loadtxt_rows`).
     """
@@ -133,31 +148,49 @@ def _read_rows(path, schema: DataFileSchema, label_column, max_workers=1):
     return rows or _exact_rows(path, schema, label_column)
 
 
-def _loadtxt_rows(path, schema: DataFileSchema, label_column, max_workers=1):
-    """:func:`_read_rows` by numpy's C parser, or None where the exact reader must decide.
+@dataclass
+class _Plan:
+    """How np.loadtxt reads a file: piece k is bytes ``cuts[k]:cuts[k + 1]`` and holds
+    at most ``lines[k]`` rows. A ``plain`` file holds no quote or NUL byte. With
+    ``width``, the field count of the file's first nonblank line, every record
+    is a line and a piece is parsed in line-aligned chunks; without it the file
+    is one piece, parsed whole."""
 
-    A plain file (no quote or NUL, so a record is a line) of at least two
-    :data:`PIECE_BYTES` is cut after newlines into up to ``max_workers`` byte
-    ranges, one :func:`_parse_piece` task each on
-    :func:`lpd.parallel.map_tasks`. Each task writes its rows into its slot
-    of one shared array: a range's newlines bound its rows, and the file's
-    first nonblank line gives the width. Any other file is one piece, which
-    is parsed here into its own array. Either way :func:`_compact_rows` turns
-    that array into the result in place.
+    path: str
+    schema: DataFileSchema
+    label_column: int | None
+    cuts: list
+    lines: list
+    plain: bool
+    width: int | None
+
+
+def _plan(path, schema: DataFileSchema, label_column, max_workers=1):
+    """The :class:`_Plan` of a file, or None where the exact reader must decide (a
+    negative label column, or a byte numpy strips around a number and float() does not).
+
+    A file with no quote, NUL or lone carriage return byte, so that a record
+    is a line, has a width. If it is at least two :data:`PIECE_BYTES`, it is
+    cut after newlines into up to ``max_workers`` pieces.
     """
     if label_column is not None and label_column < 0:
         return None
-    stripped = quoted = False
+    stripped = quoted = lone_cr = False
     with open(path, "rb") as raw:
         size = os.fstat(raw.fileno()).st_size
         pieces = max(1, min(max_workers, size // PIECE_BYTES))
         targets = [size * k // pieces for k in range(1, pieces)]
         # the pieces' first bytes, and the newlines before each
-        cuts, newlines, seen, offset, chunk = [0], [0], 0, 0, b""
-        for chunk in iter(lambda: raw.read(1 << 20), b""):
+        cuts, newlines, seen, returns, offset, chunk = [0], [0], 0, 0, 0, b""
+        for chunk in iter(lambda: raw.read(CHUNK_BYTES), b""):
+            if chunk.endswith(b"\r"):  # a CRLF pair stays in one chunk
+                chunk += raw.read(1)
             # numpy strips these around a number; float() does not
             stripped = stripped or any(c in chunk for c in b"\x1c\x1d\x1e\x1f")
             quoted = quoted or any(c in chunk for c in b'"\x00')
+            if b"\r" in chunk:  # a record may also end at a carriage return
+                returns += chunk.count(b"\r")
+                lone_cr = lone_cr or _LONE_CR.search(chunk) is not None
             while targets and (at := chunk.find(b"\n", max(targets[0] - offset, 0))) >= 0:
                 cuts.append(offset + at + 1)
                 newlines.append(seen + chunk.count(b"\n", 0, at + 1))
@@ -167,110 +200,201 @@ def _loadtxt_rows(path, schema: DataFileSchema, label_column, max_workers=1):
         last, chunk = chunk[-1:], None
         if stripped:
             return None
-        if cuts[-1] == offset > 0:  # a cut at the end of the file
-            del cuts[-1], newlines[-1]
-        slots = None
-        if not quoted and len(cuts) > 1:
+        width = None
+        if not (quoted or lone_cr):
             raw.seek(0)
             first = next((line for line in raw if line.strip(b"\r\n")), b"")
             width = first.count(schema.delimiter.encode()) + 1
-            bounds = np.diff(newlines + [seen])
-            bounds[0] -= schema.has_header  # line 1, the header, holds no row
-            bounds[-1] += last != b"\n"  # an unended last line is a row too
-            starts = np.concatenate([[0], np.cumsum(bounds)]).tolist()
-            if starts[-1] * width <= offset:  # else slots for blank lines outgrow the file
-                import mmap
-
-                slots = mmap.mmap(-1, starts[-1] * width * 8), starts, width
-        if slots is None:
-            cuts = [0]
-    results = map_tasks(_parse_piece, (path, schema, label_column, cuts + [offset], slots),
-                        len(cuts), max_workers)
-    if slots is None:
-        grid = results[0][0]
-        pieces = [(0, len(grid), results[0][2])]
-    else:
-        buffer, starts, width = slots
-        grid = np.frombuffer(buffer, dtype=float).reshape(-1, width)
-        pieces = [(start, rows, names) for start, (rows, _, names) in zip(starts, results)]
-    header_width = results[0][1]
-    if not any(rows for _, rows, _ in pieces) or (header_width and header_width != grid.shape[1]):
-        return None
-    return _compact_rows(path, schema, label_column, grid, pieces, not quoted)
+    if cuts[-1] == offset > 0:  # a cut at the end of the file
+        del cuts[-1], newlines[-1]
+    if width is None:  # one piece, where each \n and each \r may end a record
+        cuts, newlines, seen = [0], [0], seen + returns
+    lines = np.diff(newlines + [seen])
+    lines[0] -= schema.has_header  # line 1, the header, holds no row
+    lines[-1] += last not in (b"\n", b"\r")  # an unended last line is a row too
+    return _Plan(os.fspath(path), schema, label_column, cuts + [offset], lines.tolist(),
+                 not quoted, width)
 
 
-def _compact_rows(path, schema: DataFileSchema, label_column, grid, pieces, plain):
-    """:func:`_read_rows`'s result from the parsed rows in ``grid``, a C-contiguous
-    array that it overwrites.
+class _NonFinite(Exception):
+    """A parsed row holds a non-finite value; ``row`` counts the piece's rows before it."""
 
-    ``pieces`` holds a (first row, row count, label names) triple per piece,
-    in file order; a piece's label ids number its names from 1, and are
-    renumbered in piece order, which keeps first-seen order. Row block by row
-    block, the rows are checked for non-finite values, their label column is
-    read and dropped, and the rest moves forward to follow the rows before.
-    So the features are the front of ``grid``'s own buffer, C-contiguous, and
-    no second matrix is made.
+    def __init__(self, row):
+        super().__init__(row)
+        self.row = row
+
+
+def _walk(plan: _Plan, index, names):
+    """Yield (features, label ids) for each line-aligned chunk of about
+    :data:`CHUNK_BYTES` of piece ``index``, or for the whole piece without
+    ``plan.width``, each parsed by one np.loadtxt call.
+
+    Row block by row block, a chunk's rows are checked for non-finite values
+    (the first raises :class:`_NonFinite`), their label column is read and
+    dropped, and the rest moves forward to follow the rows before. So the
+    features are the front of the parsed array's own buffer, C-contiguous,
+    and the ids, one array per block, number ``names``, the piece's label
+    texts in first-seen order, from 1. Raises ValueError where np.loadtxt
+    rejects a chunk, or a chunk's rows are not as wide as the file's first row.
     """
-    rows = sum(count for _, count, _ in pieces)
-    width = grid.shape[1]
-    p = width - (label_column is not None)
-    features = grid if rows * p == grid.size else grid.reshape(-1)[:rows * p].reshape(rows, p)
-    names: dict[str, int] = {}
-    labels, row = [], 0
-    for start, count, piece_names in pieces:
-        ids = np.array([0] + [names.setdefault(name, len(names) + 1) for name in piece_names])
-        for first, stop in row_blocks(count, width):
-            block = grid[start + first:start + stop]
-            bad_rows = np.flatnonzero(~np.isfinite(block).all(axis=1))
-            if bad_rows.size:
-                raise _nonfinite_error(path, schema, label_column,
-                                       row + first + int(bad_rows[0]), plain)
-            if label_column is not None:
-                labels.append(ids[block[:, label_column].astype(int)])
-                block = np.delete(block, label_column, axis=1)
-            # Never past this block's own rows. numpy copies a block that overlaps
-            # its target through a temporary, and skips one that is its target.
-            features[row + first:row + stop] = block
-        row += count
+    label_column, delimiter = plan.label_column, plan.schema.delimiter
+    # Not `usecols`: it accepts a row with an extra field.
+    converters = {} if label_column is None else {
+        label_column: lambda text: names.setdefault(text.strip(), len(names) + 1)}
+    at, stop, row = plan.cuts[index], plan.cuts[index + 1], 0
+    # numpy reads the lines of an open file as csv does; given a path it
+    # would decompress by file extension and fetch URLs.
+    with open(plan.path, "rb") as raw, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a chunk of blank lines holds no row
+        raw.seek(at)
+        while at < stop:
+            header_next = plan.schema.has_header and at == 0
+            if plan.width is None:
+                source, at = raw, stop
+            else:  # a chunk read whole, so that numpy stops at its end
+                data = raw.read(min(CHUNK_BYTES, stop - at))
+                if data[-1:] != b"\n":  # a piece ends at a line end or the file's end
+                    data += raw.readline()
+                source, at, data = io.BytesIO(data), at + len(data), None
+            # A text handle on bytes parses faster than a StringIO of their text.
+            handle = io.TextIOWrapper(source, encoding="utf-8", newline="")
+            header = next(csv.reader(handle, delimiter=delimiter), []) if header_next else []
+            rows = np.loadtxt(handle, delimiter=delimiter, comments=None, quotechar='"',
+                              ndmin=2, converters=converters, encoding="utf-8")
+            handle.close()  # lets go of the chunk's text before its rows are used
+            if not len(rows):
+                continue
+            width = plan.width or len(header) or rows.shape[1]
+            if rows.shape[1] != width:
+                raise ValueError(f"rows of {rows.shape[1]} fields in a file of {width}")
+            p = width - (label_column is not None)
+            features = (rows if p == width
+                        else rows.reshape(-1)[:len(rows) * p].reshape(len(rows), p))
+            ids = []
+            for first, end in row_blocks(len(rows), width):
+                block = rows[first:end]
+                bad_rows = np.flatnonzero(~np.isfinite(block).all(axis=1))
+                if bad_rows.size:
+                    raise _NonFinite(row + first + int(bad_rows[0]))
+                if label_column is not None:
+                    ids.append(block[:, label_column].astype(int))
+                    block = np.delete(block, label_column, axis=1)
+                # Never past this block's own rows. numpy copies a block that overlaps
+                # its target through a temporary, and skips one that is its target.
+                features[first:end] = block
+            row += len(rows)
+            yield features, ids
+
+
+class _Piece(NamedTuple):
+    """What a piece's task returns: its row count, its label names in first-seen
+    order and their ids per row, its first non-finite row or None, and the rows
+    it hands back rather than putting them in its slot."""
+
+    count: int
+    names: tuple = ()
+    ids: np.ndarray | None = None
+    bad: int | None = None
+    held: np.ndarray | None = None
+
+
+def _slots(plan: _Plan, width):
+    """A shared buffer of a slot of ``plan.lines[k]`` rows of ``width`` floats for each
+    piece k: (buffer, first row of each slot, width). Pages no row reaches cost nothing."""
+    import mmap
+
+    starts = np.concatenate([[0], np.cumsum(plan.lines)]).tolist()
+    return mmap.mmap(-1, max(starts[-1] * width * 8, 1)), starts, width
+
+
+def _slot(slots, index, rows):
+    """Rows ``rows`` (a slice) of piece ``index``'s slot; ValueError past its end."""
+    buffer, starts, width = slots
+    grid = np.ndarray((starts[-1], width), dtype=float, buffer=buffer)
+    slot = grid[starts[index]:starts[index + 1]]
+    if rows.stop > len(slot):
+        raise ValueError(f"piece {index} has more rows than its {len(slot)} lines")
+    return slot[rows]
+
+
+def _count_rows(plan: _Plan, pieces):
+    """The row count of the pieces; the first non-finite row, if any, raises its error."""
+    rows = 0
+    for piece in pieces:
+        if piece.bad is not None:
+            raise _nonfinite_error(plan.path, plan.schema, plan.label_column,
+                                   rows + piece.bad, plan.plain)
+        rows += piece.count
+    return rows
+
+
+def _stitch(slots, pieces, rows):
+    """The ``rows`` rows of the pieces in file order, C-contiguous: the front of the
+    slots' buffer, where each piece's rows move forward, row block by row block, to
+    follow the rows before. Without slots, the only piece's own rows."""
+    if slots is None:
+        return pieces[0].held
+    buffer, starts, width = slots
+    grid = np.ndarray((starts[-1], width), dtype=float, buffer=buffer)
+    row = 0
+    for start, piece in zip(starts, pieces):
+        for first, stop in row_blocks(piece.count, width):
+            grid[row + first:row + stop] = grid[start + first:start + stop]
+        row += piece.count
+    return grid[:rows]
+
+
+def _loadtxt_rows(path, schema: DataFileSchema, label_column, max_workers=1):
+    """:func:`_read_rows` by numpy's C parser, or None where the exact reader must decide.
+
+    Each piece of the file's :func:`_plan` is one :func:`_load_piece` task on
+    :func:`lpd.parallel.map_tasks`. Its lines bound its rows, so each task
+    writes its rows, chunk by chunk, into its own slot of one shared array.
+    A file of one piece, or one whose slots would outgrow it (a slot row per
+    blank line), is parsed whole into its own array, as one chunk. A piece's
+    label ids number its names from 1, and are renumbered in piece order,
+    which keeps first-seen order.
+    """
+    plan = _plan(path, schema, label_column, max_workers)
+    if plan is None:
+        return None
+    slots = None
+    if len(plan.lines) > 1 and sum(plan.lines) * plan.width <= plan.cuts[-1]:
+        slots = _slots(plan, plan.width - (label_column is not None))
+    else:
+        plan = replace(plan, cuts=[0, plan.cuts[-1]], lines=[sum(plan.lines)], width=None)
+    pieces = map_tasks(_load_piece, (plan, slots), len(plan.lines), max_workers)
+    rows = _count_rows(plan, pieces)
+    if not rows:
+        return None
+    features = _stitch(slots, pieces, rows)
     if label_column is None:
         return features, np.empty(0, dtype=int), ()
+    names: dict[str, int] = {}
+    labels = []
+    for piece in pieces:
+        if piece.count:
+            ids = np.array([0] + [names.setdefault(name, len(names) + 1) for name in piece.names])
+            labels.append(ids[piece.ids])
     return features, np.concatenate(labels), tuple(names)
 
 
-def _parse_piece(path, schema: DataFileSchema, label_column, cuts, slots, index):
-    """One np.loadtxt pass over bytes ``cuts[index]:cuts[index + 1]`` of a file:
-    (its rows, the header's width, its label names in first-seen order).
-
-    The rows are an array. With ``slots``, a (shared buffer, first row of each
-    piece's slot, width) triple, they go into the piece's slot of the buffer
-    and only their count is returned; rows of another width, or more rows
-    than the slot holds, raise ValueError.
-    """
+def _load_piece(plan: _Plan, slots, index):
+    """Piece ``index`` read by :func:`_walk` into its slot of ``slots`` (a (buffer,
+    first row of each slot, width) triple), or without slots into its own rows."""
     names: dict[str, int] = {}
-    # Not `usecols`: it accepts a row with an extra field. The label column is dropped later.
-    converters = {} if label_column is None else {
-        label_column: lambda text: names.setdefault(text.strip(), len(names) + 1)}
-    # numpy reads the lines of an open file as csv does; given a path it
-    # would decompress by file extension and fetch URLs.
-    with open(path, "rb") as raw, warnings.catch_warnings():
-        raw.seek(cuts[index])
-        # A piece is read whole, so that numpy stops at its end. A text handle
-        # on its bytes parses faster than a StringIO of its text.
-        piece = raw if slots is None else io.BytesIO(raw.read(cuts[index + 1] - cuts[index]))
-        handle = io.TextIOWrapper(piece, encoding="utf-8", newline="")
-        header = (next(csv.reader(handle, delimiter=schema.delimiter), [])
-                  if schema.has_header and index == 0 else [])
-        warnings.simplefilter("ignore", UserWarning)  # no data: checked by the caller
-        out = np.loadtxt(handle, delimiter=schema.delimiter, comments=None, quotechar='"',
-                         ndmin=2, converters=converters, encoding="utf-8")
-    if slots is None:
-        return out, len(header), tuple(names)
-    buffer, starts, width = slots
-    if len(out):
-        if out.shape[1] != width or len(out) > starts[index + 1] - starts[index]:
-            raise ValueError(f"rows of piece {index} do not fit its slot")
-        np.frombuffer(buffer, dtype=float).reshape(-1, width)[starts[index]:][:len(out)] = out
-    return len(out), len(header), tuple(names)
+    count, ids, rows = 0, [], None
+    try:
+        for features, chunk_ids in _walk(plan, index, names):
+            if slots is None:
+                rows = features
+            else:
+                _slot(slots, index, slice(count, count + len(features)))[:] = features
+            count += len(features)
+            ids += chunk_ids
+    except _NonFinite as exc:
+        return _Piece(count, bad=exc.row)
+    return _Piece(count, tuple(names), np.concatenate(ids) if ids else None, held=rows)
 
 
 def _nonfinite_error(path, schema: DataFileSchema, label_column, index, plain):
@@ -352,6 +476,102 @@ def load_features(path, schema: DataFileSchema | None = None, max_workers=1) -> 
     return _read_rows(path, schema or DataFileSchema(), None, max_workers)[0]
 
 
+def score_rows(path, model: LpdModel, score, schema: DataFileSchema | None = None,
+               label_column=None, max_workers=1) -> np.ndarray:
+    """``score(model, x)`` for ``x`` the rows of a delimited file, with no process
+    holding those rows.
+
+    ``x`` is what :func:`load_features` reads, or with ``label_column`` the
+    features of :func:`load_dataset`, under the same rules, errors and
+    ``max_workers``. Each piece of the file's :func:`_plan` is one
+    :func:`_score_piece` task on :func:`lpd.parallel.map_tasks`: its chunks
+    are scored and let go, and the scores go into its slot of one shared
+    array. Rows whose width does not fit ``model`` raise DataError naming the
+    file, at the first chunk. A file np.loadtxt does not take is read whole
+    by :func:`_exact_rows`, then scored.
+
+    ``score`` must score each row on its own, as
+    :func:`~lpd.classifier.decision_scores` does. With that function the
+    scores are those of ``score(model, x)``, byte for byte, at one BLAS
+    thread. There OpenBLAS rounds a row alike in any full group of 4 rows of a
+    product, and a product's last n mod 4 rows alike for any n >= 2. So each
+    product in a piece scores whole groups of 4, and the rows a piece holds
+    back are scored here in one product, which ends with the file's last
+    rows: a piece of several holds its last 4 to 7 rows, the only piece its
+    last chunk (so a file of one chunk is one product).
+    """
+    schema = schema or DataFileSchema()
+    scores = None
+    with contextlib.suppress(ValueError, csv.Error):
+        scores = _loadtxt_scores(path, schema, label_column, model, score, max_workers)
+    if scores is None:
+        features = _exact_rows(path, schema, label_column)[0]
+        _check_width(path, model, features.shape[1])
+        scores = score(model, features)
+    return scores
+
+
+def _check_width(path, model: LpdModel, width):
+    """DataError naming ``path`` when rows of ``width`` features do not fit ``model``."""
+    try:
+        model.columns(width)
+    except DimensionMismatch as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _loadtxt_scores(path, schema: DataFileSchema, label_column, model, score, max_workers):
+    """:func:`score_rows` by numpy's C parser, or None where the exact reader must decide."""
+    plan = _plan(path, schema, label_column, max_workers)
+    if plan is None:
+        return None
+    slots = _slots(plan, 1)
+    pieces = map_tasks(_score_piece, (plan, model, score, slots), len(plan.lines), max_workers)
+    rows = _count_rows(plan, pieces)
+    if not rows:
+        return None
+    scores = score(model, np.concatenate([piece.held for piece in pieces
+                                          if piece.held is not None]))
+    for index, piece in enumerate(pieces):
+        if piece.held is not None:
+            part, scores = scores[:len(piece.held)], scores[len(piece.held):]
+            _slot(slots, index, slice(piece.count - len(part), piece.count))[:, 0] = part
+    return _stitch(slots, pieces, rows)[:, 0]
+
+
+def _score_piece(plan: _Plan, model, score, slots, index):
+    """Piece ``index`` read by :func:`_walk` and scored into its slot of ``slots``,
+    but for the rows it holds back.
+
+    Each chunk's rows, after those held back from the chunk before, are scored
+    but for the last 4 to 7 of them (all of them, if fewer than 8), so that a
+    product scores whole groups of 4 rows.
+    """
+    count, held = 0, None
+    try:
+        for features, _ in _walk(plan, index, {}):
+            _check_width(plan.path, model, features.shape[1])
+            if held is not None:
+                count, held = _score_groups(model, score, slots, index, count, held)
+                features = np.concatenate([held, features])
+            held = features
+    except _NonFinite as exc:
+        return _Piece(count, bad=exc.row)
+    if held is None:
+        return _Piece(0)
+    if len(plan.lines) > 1:
+        count, held = _score_groups(model, score, slots, index, count, held)
+    return _Piece(count + len(held), held=held)
+
+
+def _score_groups(model, score, slots, index, count, rows):
+    """Score all but the last 4 to 7 of ``rows`` (none, if fewer than 8) into rows
+    ``count`` on of piece ``index``'s slot; return the new count and the rows left."""
+    cut = max(len(rows) - len(rows) % 4 - 4, 0)
+    if cut:
+        _slot(slots, index, slice(count, count + cut))[:, 0] = score(model, rows[:cut])
+    return count + cut, rows[cut:]
+
+
 def save_dataset(path, dataset: LabeledDataset, schema: DataFileSchema | None = None,
                  indices=None):
     """Write a dataset in the layout :func:`load_dataset` reads, labels quoted where
@@ -368,14 +588,18 @@ def save_dataset(path, dataset: LabeledDataset, schema: DataFileSchema | None = 
                          f"{dataset.p} kept features; it must lie in 0..{dataset.p}")
     header = [f"x{j}" for j in range(dataset.p)]
     header.insert(schema.label_column, "label")
-    rows = []
-    for row, label in zip(dataset.features, dataset.labels):
-        text = dataset.label_names[label - 1] if dataset.label_names else str(int(label))
-        if "\r" in text:
-            raise DataError(f"{path}: label {text!r}: a carriage return would not read back")
-        rows.append([fmt_float(v) for v in row])
-        rows[-1].insert(schema.label_column, text)
-    outputs = [(path, _csv_text(header if schema.has_header else None, rows, schema.delimiter))]
+
+    def rows(start, stop):
+        for row, label in zip(dataset.features[start:stop], dataset.labels[start:stop]):
+            text = dataset.label_names[label - 1] if dataset.label_names else str(int(label))
+            if "\r" in text:
+                raise DataError(f"{path}: label {text!r}: a carriage return would not read back")
+            cells = [fmt_float(v) for v in row]
+            cells.insert(schema.label_column, text)
+            yield cells
+
+    outputs = [(path, _csv_texts(header if schema.has_header else None, rows, dataset.n,
+                                 dataset.p + 1, schema.delimiter))]
     if indices is not None:
         outputs.append((indices[0], _indices_text(indices[1])))
     _atomic_write(*outputs)
@@ -468,6 +692,16 @@ def _csv_text(header, rows, delimiter=","):
     return out.getvalue()
 
 
+def _csv_texts(header, rows, n, width, delimiter=","):
+    """:func:`_csv_text` of a header and ``rows(start, stop)`` for rows 0..n-1 of
+    ``width`` cells, made a block of about :data:`_WRITE_CELLS` cells at a time, so
+    that a large file's text and cells are never all in memory."""
+    yield _csv_text(header, (), delimiter)
+    step = max(1, _WRITE_CELLS // width)
+    for start in range(0, n, step):
+        yield _csv_text(None, rows(start, min(start + step, n)), delimiter)
+
+
 def save_report(path, report):
     """Write an EvalReport as (section, name, mean, sd) CSV rows."""
     rows = [
@@ -479,11 +713,14 @@ def save_report(path, report):
 
 def save_predictions(path, classes, scores):
     """Write per-sample predictions: index, class id, raw decision score."""
-    rows = [
-        (i, int(c), fmt_float(s))
-        for i, (c, s) in enumerate(zip(np.atleast_1d(classes), np.atleast_1d(scores)))
-    ]
-    _atomic_write((path, _csv_text(("sample_index", "predicted_class", "score"), rows)))
+    classes, scores = np.atleast_1d(classes), np.atleast_1d(scores)
+
+    def rows(start, stop):
+        return zip(range(start, stop), classes[start:stop].tolist(),
+                   map(fmt_float, scores[start:stop]))
+
+    header = ("sample_index", "predicted_class", "score")
+    _atomic_write((path, _csv_texts(header, rows, len(scores), len(header))))
 
 
 def save_cv_table(path_or_none, result):

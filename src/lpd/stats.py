@@ -109,13 +109,21 @@ def _require_binary(data):
 
 
 def class_means(data):
-    """Per-class sample means, keyed by class id. Each class needs >= 2 samples."""
+    """Per-class sample means, keyed by class id. Each class needs >= 2 samples.
+
+    A class's rows are copied a column block at a time, the blocks of
+    :func:`~lpd.linalg.row_blocks` over the columns. A block is at least 2
+    columns wide unless p is 1, so numpy reduces it as it reduces all the
+    columns, each column's sum running down the rows in order: the means are
+    those of the whole class's rows, byte for byte.
+    """
     means = {}
     for k in data.classes:
         rows = data.class_rows(k)
         if rows.size < 2:
             raise TooFewSamples(f"class {k} has {rows.size} samples; need at least 2")
-        means[int(k)] = data.features[rows].mean(axis=0)
+        means[int(k)] = np.concatenate([data.features[rows, start:stop].mean(axis=0)
+                                        for start, stop in row_blocks(data.p, data.n)])
     return means
 
 
@@ -189,8 +197,11 @@ def t_statistics(data):
     """
     _require_binary(data)
     means = class_means(data)
-    x1, x2 = data.features[data.class_rows(1)], data.features[data.class_rows(2)]
-    se2 = x1.var(axis=0, ddof=1) / len(x1) + x2.var(axis=0, ddof=1) / len(x2)
+    se2 = np.zeros(data.p)
+    for k in (1, 2):  # a column block of a class's rows at a time, as in class_means
+        rows = data.class_rows(k)
+        for start, stop in row_blocks(data.p, data.n):
+            se2[start:stop] += data.features[rows, start:stop].var(axis=0, ddof=1) / rows.size
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (means[1] - means[2]) / np.sqrt(se2)
     t[np.isnan(t)] = 0.0  # 0/0: no mean shift, no evidence

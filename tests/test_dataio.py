@@ -258,6 +258,31 @@ class TestAtomicWrite:
 
 
 class TestReportsAndTables:
+    def test_predictions_written_in_blocks_match_one_text(self, tmp_path, monkeypatch):
+        import lpd.dataio as dataio_mod
+
+        rng = np.random.default_rng(3)
+        scores = rng.standard_normal(11) * 10.0 ** rng.integers(-300, 300, 11)
+        classes = np.where(scores >= 0, 1, 2)
+        expected = dataio_mod._csv_text(("sample_index", "predicted_class", "score"),
+                                        [(i, int(c), fmt_float(s))
+                                         for i, (c, s) in enumerate(zip(classes, scores))])
+        monkeypatch.setattr(dataio_mod, "_WRITE_CELLS", 12)  # blocks of 4 rows
+        path = tmp_path / "preds.csv"
+        save_predictions(path, classes.astype(np.int8), scores)
+        assert path.read_bytes() == expected.encode()
+
+    def test_failed_block_leaves_no_output(self, tmp_path):
+        import lpd.dataio as dataio_mod
+
+        def texts():
+            yield "sample_index,predicted_class,score\n"
+            raise OSError("injected")
+
+        with pytest.raises(OSError):
+            dataio_mod._atomic_write((tmp_path / "preds.csv", texts()))
+        assert list(tmp_path.iterdir()) == []
+
     def test_predictions_layout(self, tmp_path):
         path = tmp_path / "preds.csv"
         save_predictions(path, np.array([1, 2]), np.array([0.5, -0.25]))

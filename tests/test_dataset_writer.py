@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpd import dataio
 from lpd.dataio import DataFileSchema, load_dataset, save_dataset
 from lpd.errors import DataError, ParseError
 from lpd.stats import LabeledDataset
@@ -85,6 +86,24 @@ def test_ordinary_labels_are_written_unquoted(tmp_path):
     data = LabeledDataset([[0.5, -0.0], [0.1, 2.0]], [1, 2], ("a b", "é"))
     save_dataset(path, data, DataFileSchema(delimiter=";"))
     assert path.read_text(encoding="utf-8") == "a b;0.5;-0\né;0.10000000000000001;2\n"
+
+
+def test_written_in_blocks_as_in_one_text(tmp_path, monkeypatch):
+    data = two_class(n=9, p=3, names=("a,b", 'say "x"'))
+    schema = DataFileSchema(delimiter=";", label_column=2, has_header=True)
+    save_dataset(tmp_path / "one.csv", data, schema)
+    monkeypatch.setattr(dataio, "_WRITE_CELLS", 9)  # blocks of 2 rows
+    save_dataset(tmp_path / "blocks.csv", data, schema)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_carriage_return_in_a_later_block_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_WRITE_CELLS", 9)  # the first block has only class 1 rows
+    path = tmp_path / "cr.csv"
+    data = LabeledDataset(np.ones((6, 2)), [1, 1, 1, 1, 2, 2], ("ok", "a\rb"))
+    with pytest.raises(DataError, match=r"label 'a\\rb': a carriage return"):
+        save_dataset(path, data, indices=(tmp_path / "kept.csv", [0, 1]))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", ["a\rb", "a\r\nb"])

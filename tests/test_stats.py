@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lpd import linalg
 from lpd.errors import (
     AllFeaturesDropped,
     ClassMissing,
@@ -11,6 +14,7 @@ from lpd.errors import (
 )
 from lpd.stats import (
     LabeledDataset,
+    class_means,
     compute_moments,
     pooled_variances,
     t_statistic_screen,
@@ -204,3 +208,35 @@ class TestTStatisticScreen:
         data = LabeledDataset(np.zeros((3, 2)), np.array([1, 2, 2]))
         with pytest.raises(TooFewSamples):
             t_statistic_screen(data, 1)
+
+
+class TestColumnBlocks:
+    """Class means and t statistics copy a column block of a class's rows at a time,
+    and give numpy's whole-class figures to the bit."""
+
+    @pytest.mark.parametrize("n, p", [(40, 1), (40, 2), (41, 7), (300, 6), (64, 37)])
+    def test_byte_identical_to_whole_class_reductions(self, monkeypatch, n, p):
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8 * 4 * n)  # blocks of 4 columns; a last of 2-7
+        rng = np.random.default_rng(n + p)
+        data = LabeledDataset(rng.standard_normal((n, p)) * rng.uniform(0.1, 50, p) + 7,
+                              rng.permutation(np.arange(n) % 2 + 1))
+        x1, x2 = data.features[data.labels == 1], data.features[data.labels == 2]
+        means = class_means(data)
+        assert means[1].tobytes() == x1.mean(axis=0).tobytes()
+        assert means[2].tobytes() == x2.mean(axis=0).tobytes()
+        se2 = x1.var(axis=0, ddof=1) / len(x1) + x2.var(axis=0, ddof=1) / len(x2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = (x1.mean(axis=0) - x2.mean(axis=0)) / np.sqrt(se2)
+        assert t_statistics(data).tobytes() == expected.tobytes()
+
+    def test_t_statistics_copy_blocks_not_classes(self):
+        """Each class's rows are 3.2 MB here; a block of them is at most 1 MB."""
+        rng = np.random.default_rng(16)
+        data = random_dataset(rng, 4000, 4000, 100)
+        tracemalloc.start()
+        try:
+            t_statistics(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * linalg._BLOCK_BYTES
