@@ -28,8 +28,8 @@ import sys
 import numpy as np
 
 from . import dataio
-# `predict` is no longer called here; it stays importable as lpd.cli.predict,
-# the name perfbench/spans.py traces.
+# `decision_scores` and `predict` are no longer called here; they stay importable
+# as lpd.cli.decision_scores and lpd.cli.predict, the names perfbench/spans.py traces.
 from .classifier import decision_scores, fit_lpd_from_moments, predict  # noqa: F401
 from .errors import DataError, LpdError, SolverError
 from .model_selection import CvPlan, cross_validate, default_lambda_grid
@@ -220,7 +220,7 @@ def _load_feature_rows(path, args, model):
     function, under this name, as the parse."""
     schema, max_workers = _reader(args)
     label_column = schema.label_column if args.has_labels else None
-    return dataio.score_rows(path, model, decision_scores, schema, label_column, max_workers)
+    return dataio.score_rows(path, model, schema, label_column, max_workers)
 
 
 def _cmd_predict(args):

@@ -13,8 +13,8 @@ line ends into pieces, parsed on forked worker processes
 :data:`CHUNK_BYTES`. :func:`load_dataset` and :func:`load_features` write
 each chunk's rows into its piece's slot of one shared array, and parse a
 file of one piece whole. :func:`score_rows`, which ``lpd predict`` uses,
-reads any plain file in chunks and scores each chunk's rows and lets them
-go, so no process holds the rows it scores.
+reads any plain file in chunks, scores each chunk's rows and lets them go,
+so no process holds the rows it scores.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import classifier
 from .classifier import LpdModel
 from .errors import (DataError, DimensionMismatch, NonFiniteValue, ParseError, RaggedRows,
                      SchemaVersionMismatch)
@@ -150,11 +151,11 @@ def _read_rows(path, schema: DataFileSchema, label_column, max_workers=1):
 
 @dataclass
 class _Plan:
-    """How np.loadtxt reads a file: piece k is bytes ``cuts[k]:cuts[k + 1]`` and holds
-    at most ``lines[k]`` rows. A ``plain`` file holds no quote or NUL byte. With
-    ``width``, the field count of the file's first nonblank line, every record
-    is a line and a piece is parsed in line-aligned chunks; without it the file
-    is one piece, parsed whole."""
+    """How np.loadtxt reads a file: piece k is bytes ``cuts[k]:cuts[k + 1]``. A
+    ``plain`` file holds no quote or NUL byte. With ``width``, the field count of
+    the file's first nonblank line, every record is a line, piece k holds at
+    most ``lines[k]`` rows and is parsed in line-aligned chunks; without it the
+    file is one piece, parsed whole."""
 
     path: str
     schema: DataFileSchema
@@ -181,16 +182,15 @@ def _plan(path, schema: DataFileSchema, label_column, max_workers=1):
         pieces = max(1, min(max_workers, size // PIECE_BYTES))
         targets = [size * k // pieces for k in range(1, pieces)]
         # the pieces' first bytes, and the newlines before each
-        cuts, newlines, seen, returns, offset, chunk = [0], [0], 0, 0, 0, b""
+        cuts, newlines, seen, offset, chunk = [0], [0], 0, 0, b""
         for chunk in iter(lambda: raw.read(CHUNK_BYTES), b""):
             if chunk.endswith(b"\r"):  # a CRLF pair stays in one chunk
                 chunk += raw.read(1)
             # numpy strips these around a number; float() does not
             stripped = stripped or any(c in chunk for c in b"\x1c\x1d\x1e\x1f")
             quoted = quoted or any(c in chunk for c in b'"\x00')
-            if b"\r" in chunk:  # a record may also end at a carriage return
-                returns += chunk.count(b"\r")
-                lone_cr = lone_cr or _LONE_CR.search(chunk) is not None
+            # a record may also end at a carriage return
+            lone_cr = lone_cr or (b"\r" in chunk and _LONE_CR.search(chunk) is not None)
             while targets and (at := chunk.find(b"\n", max(targets[0] - offset, 0))) >= 0:
                 cuts.append(offset + at + 1)
                 newlines.append(seen + chunk.count(b"\n", 0, at + 1))
@@ -207,11 +207,11 @@ def _plan(path, schema: DataFileSchema, label_column, max_workers=1):
             width = first.count(schema.delimiter.encode()) + 1
     if cuts[-1] == offset > 0:  # a cut at the end of the file
         del cuts[-1], newlines[-1]
-    if width is None:  # one piece, where each \n and each \r may end a record
-        cuts, newlines, seen = [0], [0], seen + returns
+    if width is None:
+        cuts, newlines = [0], [0]
     lines = np.diff(newlines + [seen])
     lines[0] -= schema.has_header  # line 1, the header, holds no row
-    lines[-1] += last not in (b"\n", b"\r")  # an unended last line is a row too
+    lines[-1] += last != b"\n"  # an unended last line is a row too
     return _Plan(os.fspath(path), schema, label_column, cuts + [offset], lines.tolist(),
                  not quoted, width)
 
@@ -224,18 +224,20 @@ class _NonFinite(Exception):
         self.row = row
 
 
-def _walk(plan: _Plan, index, names):
+def _walk(plan: _Plan, index, names, check=None):
     """Yield (features, label ids) for each line-aligned chunk of about
     :data:`CHUNK_BYTES` of piece ``index``, or for the whole piece without
     ``plan.width``, each parsed by one np.loadtxt call.
 
-    Row block by row block, a chunk's rows are checked for non-finite values
-    (the first raises :class:`_NonFinite`), their label column is read and
-    dropped, and the rest moves forward to follow the rows before. So the
-    features are the front of the parsed array's own buffer, C-contiguous,
-    and the ids, one array per block, number ``names``, the piece's label
-    texts in first-seen order, from 1. Raises ValueError where np.loadtxt
-    rejects a chunk, or a chunk's rows are not as wide as the file's first row.
+    ``check``, if given, is called with each chunk's feature count before any
+    of its values is looked at. Then, row block by row block, the chunk's rows
+    are checked for non-finite values (the first raises :class:`_NonFinite`),
+    their label column is read and dropped, and the rest moves forward to
+    follow the rows before. So the features are the front of the parsed
+    array's own buffer, C-contiguous, and the ids, one array per block, number
+    ``names``, the piece's label texts in first-seen order, from 1. Raises
+    ValueError where np.loadtxt rejects a chunk, or a chunk's rows are not as
+    wide as the file's first row.
     """
     label_column, delimiter = plan.label_column, plan.schema.delimiter
     # Not `usecols`: it accepts a row with an extra field.
@@ -268,6 +270,8 @@ def _walk(plan: _Plan, index, names):
             if rows.shape[1] != width:
                 raise ValueError(f"rows of {rows.shape[1]} fields in a file of {width}")
             p = width - (label_column is not None)
+            if check is not None:
+                check(p)
             features = (rows if p == width
                         else rows.reshape(-1)[:len(rows) * p].reshape(len(rows), p))
             ids = []
@@ -288,14 +292,16 @@ def _walk(plan: _Plan, index, names):
 
 class _Piece(NamedTuple):
     """What a piece's task returns: its row count, its label names in first-seen
-    order and their ids per row, its first non-finite row or None, and the rows
-    it hands back rather than putting them in its slot."""
+    order and their ids per row, its first non-finite row or None, the rows it
+    hands back rather than putting them in its slot or scoring them, and the
+    scores of the rest, one array per product."""
 
     count: int
     names: tuple = ()
     ids: np.ndarray | None = None
     bad: int | None = None
     held: np.ndarray | None = None
+    scores: tuple = ()
 
 
 def _slots(plan: _Plan, width):
@@ -476,38 +482,37 @@ def load_features(path, schema: DataFileSchema | None = None, max_workers=1) -> 
     return _read_rows(path, schema or DataFileSchema(), None, max_workers)[0]
 
 
-def score_rows(path, model: LpdModel, score, schema: DataFileSchema | None = None,
-               label_column=None, max_workers=1) -> np.ndarray:
-    """``score(model, x)`` for ``x`` the rows of a delimited file, with no process
-    holding those rows.
+def score_rows(path, model: LpdModel, schema: DataFileSchema | None = None, label_column=None,
+               max_workers=1) -> np.ndarray:
+    """:func:`~lpd.classifier.decision_scores` of ``model`` for the rows of a
+    delimited file, with no process holding those rows.
 
-    ``x`` is what :func:`load_features` reads, or with ``label_column`` the
+    The rows are what :func:`load_features` reads, or with ``label_column`` the
     features of :func:`load_dataset`, under the same rules, errors and
     ``max_workers``. Each piece of the file's :func:`_plan` is one
-    :func:`_score_piece` task on :func:`lpd.parallel.map_tasks`: its chunks
-    are scored and let go, and the scores go into its slot of one shared
-    array. Rows whose width does not fit ``model`` raise DataError naming the
-    file, at the first chunk. A file np.loadtxt does not take is read whole
-    by :func:`_exact_rows`, then scored.
+    :func:`_score_piece` task on :func:`lpd.parallel.map_tasks`, which scores
+    its chunks, lets them go and returns their scores. Rows whose width does
+    not fit ``model`` raise DataError naming the file: in a file np.loadtxt
+    reads, at the first chunk, before any of its values is checked, so that
+    the error does not depend on ``max_workers``; in any other file, read
+    whole by :func:`_exact_rows`, after the read.
 
-    ``score`` must score each row on its own, as
-    :func:`~lpd.classifier.decision_scores` does. With that function the
-    scores are those of ``score(model, x)``, byte for byte, at one BLAS
-    thread. There OpenBLAS rounds a row alike in any full group of 4 rows of a
-    product, and a product's last n mod 4 rows alike for any n >= 2. So each
-    product in a piece scores whole groups of 4, and the rows a piece holds
-    back are scored here in one product, which ends with the file's last
-    rows: a piece of several holds its last 4 to 7 rows, the only piece its
-    last chunk (so a file of one chunk is one product).
+    The scores are those of ``decision_scores`` on the whole batch, byte for
+    byte, at one BLAS thread. There OpenBLAS rounds a row alike in any full
+    group of 4 rows of a product, and a product's last n mod 4 rows alike for
+    any n >= 2. So each product in a piece scores whole groups of 4, and the
+    rows the pieces hold back are scored here in one product, which ends with
+    the file's last rows: a piece of several holds its last 4 to 7 rows, the
+    only piece its last chunk (so a file of one chunk is one product).
     """
     schema = schema or DataFileSchema()
     scores = None
     with contextlib.suppress(ValueError, csv.Error):
-        scores = _loadtxt_scores(path, schema, label_column, model, score, max_workers)
+        scores = _loadtxt_scores(path, schema, label_column, model, max_workers)
     if scores is None:
         features = _exact_rows(path, schema, label_column)[0]
         _check_width(path, model, features.shape[1])
-        scores = score(model, features)
+        scores = classifier.decision_scores(model, features)
     return scores
 
 
@@ -519,57 +524,53 @@ def _check_width(path, model: LpdModel, width):
         raise DataError(f"{path}: {exc}") from None
 
 
-def _loadtxt_scores(path, schema: DataFileSchema, label_column, model, score, max_workers):
+def _loadtxt_scores(path, schema: DataFileSchema, label_column, model, max_workers):
     """:func:`score_rows` by numpy's C parser, or None where the exact reader must decide."""
     plan = _plan(path, schema, label_column, max_workers)
     if plan is None:
         return None
-    slots = _slots(plan, 1)
-    pieces = map_tasks(_score_piece, (plan, model, score, slots), len(plan.lines), max_workers)
-    rows = _count_rows(plan, pieces)
-    if not rows:
+    pieces = map_tasks(_score_piece, (plan, model), len(plan.lines), max_workers)
+    if not _count_rows(plan, pieces):
         return None
-    scores = score(model, np.concatenate([piece.held for piece in pieces
-                                          if piece.held is not None]))
-    for index, piece in enumerate(pieces):
-        if piece.held is not None:
-            part, scores = scores[:len(piece.held)], scores[len(piece.held):]
-            _slot(slots, index, slice(piece.count - len(part), piece.count))[:, 0] = part
-    return _stitch(slots, pieces, rows)[:, 0]
+    pieces = [piece for piece in pieces if piece.count]
+    tails = classifier.decision_scores(model, np.concatenate([piece.held for piece in pieces]))
+    parts = []
+    for piece in pieces:  # a piece's scores, then those of the rows it held back
+        parts += [*piece.scores, tails[:len(piece.held)]]
+        tails = tails[len(piece.held):]
+    return np.concatenate(parts)
 
 
-def _score_piece(plan: _Plan, model, score, slots, index):
-    """Piece ``index`` read by :func:`_walk` and scored into its slot of ``slots``,
-    but for the rows it holds back.
+def _score_piece(plan: _Plan, model, index):
+    """Piece ``index`` read by :func:`_walk` and scored, but for the rows it holds back.
 
     Each chunk's rows, after those held back from the chunk before, are scored
     but for the last 4 to 7 of them (all of them, if fewer than 8), so that a
-    product scores whole groups of 4 rows.
+    product scores whole groups of 4 rows. The only piece of a file holds its
+    last chunk back whole.
     """
-    count, held = 0, None
+    scores, held = [], None
     try:
-        for features, _ in _walk(plan, index, {}):
-            _check_width(plan.path, model, features.shape[1])
+        for features, _ in _walk(plan, index, {}, lambda p: _check_width(plan.path, model, p)):
             if held is not None:
-                count, held = _score_groups(model, score, slots, index, count, held)
-                features = np.concatenate([held, features])
+                features = np.concatenate([_score_groups(model, held, scores), features])
             held = features
     except _NonFinite as exc:
-        return _Piece(count, bad=exc.row)
+        return _Piece(0, bad=exc.row)
     if held is None:
         return _Piece(0)
     if len(plan.lines) > 1:
-        count, held = _score_groups(model, score, slots, index, count, held)
-    return _Piece(count + len(held), held=held)
+        held = _score_groups(model, held, scores).copy()  # not a view of the chunk's rows
+    return _Piece(sum(map(len, scores)) + len(held), held=held, scores=tuple(scores))
 
 
-def _score_groups(model, score, slots, index, count, rows):
-    """Score all but the last 4 to 7 of ``rows`` (none, if fewer than 8) into rows
-    ``count`` on of piece ``index``'s slot; return the new count and the rows left."""
+def _score_groups(model, rows, scores):
+    """Append the scores of all but the last 4 to 7 of ``rows`` (of none, if fewer
+    than 8) to ``scores``; return the rows left."""
     cut = max(len(rows) - len(rows) % 4 - 4, 0)
     if cut:
-        _slot(slots, index, slice(count, count + cut))[:, 0] = score(model, rows[:cut])
-    return count + cut, rows[cut:]
+        scores.append(classifier.decision_scores(model, rows[:cut]))
+    return rows[cut:]
 
 
 def save_dataset(path, dataset: LabeledDataset, schema: DataFileSchema | None = None,

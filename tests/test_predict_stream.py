@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpd import cli, dataio
+from lpd import classifier, cli, dataio
 from lpd.cli import main
 from lpd.classifier import LpdModel, decision_scores
 from lpd.dataio import DataFileSchema, save_model
@@ -64,7 +64,7 @@ for case, ((n, pieces, chunk_lines), (where, header, kept, newline)) in enumerat
     whole = (load_features(path, schema) if label is None
              else load_dataset(path, schema).features)
     expected = decision_scores(model, whole)
-    streamed = score_rows(path, model, decision_scores, schema, label, pieces)
+    streamed = score_rows(path, model, schema, label, pieces)
     # the predictions file, through the CLI, on as many pieces as it has workers
     model_path, out, reference = (f"{workdir}/{name}{case}" for name in ("model", "out", "ref"))
     save_model(model_path, model)
@@ -165,6 +165,23 @@ def test_batch_of_another_width_is_a_data_error_at_the_first_chunk(tmp_path, mon
     assert not (tmp_path / "preds.csv").exists()
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_width_error_comes_before_a_bad_value_of_the_first_chunk(tmp_path, monkeypatch, capsys,
+                                                                 model_path, threads):
+    """The same error on one piece or three: the width is checked before the values."""
+    lines = [line + ",7" for line in batch_lines(40)]
+    lines[0] = "nan,1,7"
+    counts = cut_into_pieces(monkeypatch, 60)
+    monkeypatch.setattr(dataio, "CHUNK_BYTES", 30)
+    monkeypatch.setattr(cli, "_max_workers", lambda: threads)
+    capsys.readouterr()
+    data, code = predict(tmp_path, model_path, lines)
+    assert code == 2
+    assert capsys.readouterr().err == f"lpd: data error: {data}: expected 2 features, got 3\n"
+    assert counts == [threads]
+    assert not (tmp_path / "preds.csv").exists()
+
+
 def test_labeled_training_file_given_to_predict(tmp_path, capsys):
     """A 5-feature model and its 6-column labeled training file, without --has-labels."""
     train = tmp_path / "train.csv"
@@ -182,7 +199,8 @@ def test_labeled_training_file_given_to_predict(tmp_path, capsys):
 def predict_peak(tmp_path, model_path, n):
     rng = np.random.default_rng(n)
     data = tmp_path / f"batch{n}.csv"
-    data.write_text("".join("%r,%r\n" % tuple(row) for row in rng.standard_normal((n, 2)).tolist()))
+    data.write_text("".join(",".join(map(repr, row)) + "\n"
+                            for row in rng.standard_normal((n, 8)).tolist()))
     out = tmp_path / f"preds{n}.csv"
     tracemalloc.start()
     try:
@@ -195,18 +213,21 @@ def predict_peak(tmp_path, model_path, n):
 
 
 @pytest.mark.parametrize("pieces", [1, 3])
-def test_traced_peak_grows_by_the_scores_at_most(tmp_path, monkeypatch, model_path, pieces):
-    """From 4000 to 16000 rows the peak grows by at most 8 bytes a row, the size of a
-    score: the rows are parsed, scored and let go a chunk at a time, and the file is
-    written a block of rows at a time. Chunks and blocks are made small, so that
-    each file has several of the same size."""
+def test_traced_peak_grows_by_the_scores_at_most(tmp_path, monkeypatch, pieces):
+    """From 4000 to 16000 rows of 8 features (64 bytes a row parsed) the peak grows by
+    at most 17 bytes a row: the scores, their parts while they are joined, and a
+    byte for each class. The rows are parsed, scored and let go a chunk at a time,
+    and the file is written a block of rows at a time. Chunks and blocks are made
+    small, so that each file has several of the same size."""
+    model_path = tmp_path / "model.json"
+    save_model(model_path, LpdModel(beta=np.arange(8.0), mu_hat=np.ones(8)))
     monkeypatch.setattr(dataio, "CHUNK_BYTES", 16 << 10)
     monkeypatch.setattr(dataio, "_WRITE_CELLS", 3000)
     if pieces > 1:
-        cut_into_pieces(monkeypatch, 40 << 10)
+        cut_into_pieces(monkeypatch, 160 << 10)
         monkeypatch.setattr(cli, "_max_workers", lambda: pieces)
     small, large = (predict_peak(tmp_path, model_path, n) for n in (4000, 16000))
-    assert large - small <= 8 * 12000
+    assert large - small <= 17 * 12000
 
 
 def test_one_chunk_is_scored_by_one_product(tmp_path, model_path, monkeypatch):
@@ -217,18 +238,18 @@ def test_one_chunk_is_scored_by_one_product(tmp_path, model_path, monkeypatch):
         calls.append(len(rows))
         return decision_scores(model, rows)
 
-    monkeypatch.setattr(cli, "decision_scores", counted)
+    monkeypatch.setattr(classifier, "decision_scores", counted)
     assert predict(tmp_path, model_path, batch_lines(50))[1] == 0
     assert calls == [50]
 
 
 @pytest.mark.parametrize("newline", ["\r", "\r\n\r"])
 def test_records_ending_at_a_lone_carriage_return(tmp_path, model_path, newline):
-    """Such a file is one piece, parsed whole; its \\r bound its rows' slots."""
+    """Such a file is one piece, parsed whole."""
     data = write(tmp_path, newline.join(batch_lines(30)) + newline)
     plan = dataio._plan(data, DataFileSchema(), None, 4)
-    assert plan.width is None and plan.lines[0] >= 30
+    assert plan.width is None and len(plan.lines) == 1
     model = dataio.load_model(model_path)
     expected = decision_scores(model, dataio.load_features(data))
-    scores = dataio.score_rows(data, model, decision_scores)
+    scores = dataio.score_rows(data, model, max_workers=4)
     assert scores.tobytes() == expected.tobytes()
