@@ -2,7 +2,8 @@
 
 The classifier direction is estimated directly by constrained l1
 minimization, min |beta|_1 subject to |Sigma_hat beta - delta_hat|_inf <=
-lambda, solved as a linear program by a primal-dual interior-point method.
+lambda, solved as a linear program along its parametric-simplex solution
+path, with a primal-dual interior-point method for what the path hands on.
 The package adds the standard baselines (naive Bayes, generalized-inverse
 LDA, oracle rules), cross-validation for lambda, feature screening for
 wide expression-style data, and a replicated synthetic benchmark harness.

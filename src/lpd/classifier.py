@@ -15,7 +15,9 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, EmptySupport, SolverError, SolverFailure, ZeroVariance
-from .l1solver import OPTIMAL, LpProblem, solve, solve_path
+# `solve` is no longer called here; it stays importable as lpd.classifier.solve,
+# the name perfbench/spans.py traces.
+from .l1solver import OPTIMAL, LpProblem, solve, solve_path  # noqa: F401
 from .stats import LabeledDataset, TwoSampleMoments, compute_moments
 
 
@@ -116,11 +118,13 @@ def fit_lpd_from_moments(
 ) -> LpdModel:
     """Solve the l1 program at the given moments and package the model.
 
-    Raises SolverFailure when the solver terminates without an optimal
-    certificate.
+    The solve is :func:`fit_lpd_path` at the one lambda, so the model is the
+    certified path vertex that cross-validation scores at ``lam``, or the
+    interior-point solution where the path hands ``lam`` on. Raises the
+    SolverError of that entry, a SolverFailure when the solver terminates
+    without an optimal certificate.
     """
-    problem, ridge_rho = _problem(moments, lam, ridge_rho)
-    fit = _certified_model(moments, lam, solve(problem), ridge_rho)
+    (fit,) = fit_lpd_path(moments, [lam], ridge_rho)
     if isinstance(fit, SolverError):
         raise fit
     return fit
@@ -130,28 +134,24 @@ def fit_lpd_path(moments: TwoSampleMoments, lambdas, ridge_rho: float | None = N
     """The LPD model at every lambda of ``lambdas``, by one
     :func:`~lpd.l1solver.solve_path` call.
 
-    Entry j is the model at lambdas[j], or the SolverError that
-    :func:`fit_lpd_from_moments` would raise there; other errors propagate.
-    A model the path certified is a vertex of the program, so its beta may
-    differ from :func:`fit_lpd_from_moments`'s interior-point iterate within
-    the solvers' tolerances; its ``iterations`` are path pivots.
+    Entry j is the model at lambdas[j], or the SolverError that names why
+    there is none (a SolverFailure when the solver stops without an optimal
+    certificate); other errors propagate. A model the path certified is a
+    vertex of the program, with exact zeros and ``iterations`` counting path
+    pivots. Where the path hands a lambda on to the interior-point method
+    (:func:`~lpd.l1solver.solve_grid`), the model is its iterate, and
+    ``iterations`` are its iterations.
     """
     lambdas = [float(lam) for lam in lambdas]
     if not lambdas:
         return []
-    problem, ridge_rho = _problem(moments, lambdas[0], ridge_rho)
+    if ridge_rho is None:
+        ridge_rho = auto_ridge(moments.p, moments.n1 + moments.n2)
+    problem = LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=lambdas[0],
+                        ridge_rho=ridge_rho, factor=moments.factor)
     return [sol if isinstance(sol, SolverError)
             else _certified_model(moments, lam, sol, ridge_rho)
             for lam, sol in zip(lambdas, solve_path(problem, lambdas))]
-
-
-def _problem(moments, lam, ridge_rho):
-    """The l1 program at the moments, with the ridge resolved (auto when None)."""
-    if ridge_rho is None:
-        ridge_rho = auto_ridge(moments.p, moments.n1 + moments.n2)
-    problem = LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=lam,
-                        ridge_rho=ridge_rho, factor=moments.factor)
-    return problem, ridge_rho
 
 
 def _certified_model(moments, lam, sol, ridge_rho):

@@ -34,8 +34,12 @@ parametric dual simplex follows it down from beta = 0 at lambda =
 ||b||_inf, one pivot per breakpoint, on the inverse of the active block
 A_rho[J, I] kept by rank-one updates. A grid point it reads off the path is
 optimal only under an exact primal-dual certificate; the points it cannot
-certify go to solve_grid. CV and the simulate refits solve their grids this
-way; solve, the single-lambda fit, stays on the interior-point method.
+certify go to solve_grid, and so does the rest of the grid once the pivots
+since the last certified lambda have done more work than a few
+interior-point solves at the same p and k would. Every LPD fit of the
+package solves this way: the CV folds, the simulate refits and train's
+final fit at one lambda. The interior-point method serves what the path
+hands on, and solve gives it to library callers at one lambda.
 
 The solver is deterministic: no randomization anywhere.
 """
@@ -70,13 +74,20 @@ _REFINE_STEPS = 3
 # solve_grid keeps at most this many bytes of Newton systems alive at once.
 _GROUP_BYTES = 2 << 20
 # solve_path re-inverts its active block afresh every _REFACTOR_PIVOTS
-# pivots, and hands the rest of its grid to solve_grid after
-# _PIVOTS_PER_COORDINATE * p pivots. Its ratio tests take no pivot of
-# magnitude <= _PIVOT_TOL, and may overstep a bound by _BOUND_TOL.
+# pivots. Its ratio tests take no pivot of magnitude <= _PIVOT_TOL, and may
+# overstep a bound by _BOUND_TOL.
 _REFACTOR_PIVOTS = 64
-_PIVOTS_PER_COORDINATE = 10
 _PIVOT_TOL = 1e-9
 _BOUND_TOL = 1e-11
+# solve_path hands the rest of its grid to solve_grid once the pivots since
+# the last certified lambda have done more than _WORK_MULTIPLE times the work
+# of one interior-point solve at the same p and k (_pivot_work, _ipm_work).
+# Work is counted in multiply-adds of a matrix-vector product; _CALL_WORK is
+# the fixed cost of a pivot's numpy calls in those units, and an interior-point
+# iteration makes four times as many. bench/path.py measures both solvers.
+_WORK_MULTIPLE = 2.5
+_CALL_WORK = 100_000
+_IPM_ITERATIONS = 10
 # The upper (+1) and lower (-1) bound of a constraint row, as a column.
 _SIDES = np.array([[1.0], [-1.0]])
 
@@ -422,16 +433,19 @@ def solve_path(problem: LpProblem, lambdas) -> list:
     :func:`_certify` passes. The first lambda that fails after a refactor,
     every smaller lambda, and lambda = 0 go to :func:`solve_grid`; so does
     the rest of the grid when a pivot finds no entering index (the program
-    is infeasible below, or the block is singular) or the path runs past
-    _PIVOTS_PER_COORDINATE * p pivots. Entry j is an LpSolution or the
-    SolverError :func:`solve` would raise at lambdas[j]. A path entry's
-    ``iterations`` counts the pivots taken to reach its lambda.
+    is infeasible below, or the block is singular) or when the pivots since
+    the last certified lambda outgrow the work bound (:func:`_trace_path`).
+    Entry j is an LpSolution or the SolverError :func:`solve` would raise at
+    lambdas[j]. A path entry's ``iterations`` counts the pivots taken to
+    reach its lambda.
     """
     lams = np.asarray(lambdas, dtype=float).reshape(-1)
     if np.any(lams < 0):
         raise ValueError("lam must be >= 0")
     sf = build_lp(problem)
-    traced = _trace_path(sf, sorted(set(lams[lams > 0].tolist()), reverse=True))
+    k = sf.p if problem.factor is None else problem.factor.shape[1]
+    traced = _trace_path(sf, sorted(set(lams[lams > 0].tolist()), reverse=True),
+                         _WORK_MULTIPLE * _ipm_work(sf.p, k))
     results = [replace(traced[lam], beta=traced[lam].beta.copy()) if lam in traced else None
                for lam in lams.tolist()]
     rest = [j for j, sol in enumerate(results) if sol is None]
@@ -439,6 +453,25 @@ def solve_path(problem: LpProblem, lambdas) -> list:
         for j, sol in zip(rest, solve_grid(problem, lams[rest])):
             results[j] = sol
     return results
+
+
+def _pivot_work(size, p) -> int:
+    """A pivot's work at support size ``size``: its calls, four products with the
+    size x p rows of A_rho (the segment's v, r0 and r1 and the pivot's dual
+    direction), five with the size x size inverse (the segment's beta0, beta1
+    and y, the pivot's row and its rank-one update), and a share of the
+    refactor that inverts the block afresh every _REFACTOR_PIVOTS pivots."""
+    return _CALL_WORK + size * (4 * p + 5 * size + size * size // _REFACTOR_PIVOTS)
+
+
+def _ipm_work(p, k) -> int:
+    """The work of an interior-point solve of _IPM_ITERATIONS iterations, each
+    with its calls, some 13 products with the p x p A_rho, and the Newton step:
+    Woodbury's O(p k^2) products with a k-column factor when 2k < p
+    (:func:`_low_rank`), else the dense Newton matrix's assembly and Cholesky
+    factor, which run at BLAS-3 speed."""
+    newton = 4 * p * k * k // 5 if _low_rank(p, k) else p * p * p // 6
+    return _IPM_ITERATIONS * (4 * _CALL_WORK + 13 * p * p + newton)
 
 
 def _certify(sf: StandardFormLp, beta, y, lam, pivots):
@@ -461,12 +494,18 @@ def _certify(sf: StandardFormLp, beta, y, lam, pivots):
     return None
 
 
-def _trace_path(sf: StandardFormLp, lams) -> dict:
+def _trace_path(sf: StandardFormLp, lams, budget) -> dict:
     """{lambda: certified LpSolution} along the path, for a prefix of the
-    descending positive ``lams``; see :func:`solve_path`."""
+    descending positive ``lams``; see :func:`solve_path`.
+
+    The trace stops once the pivots since the last certified lambda (or since
+    the start) have done more than ``budget`` work (:func:`_pivot_work`). The
+    count depends only on the support sizes along the path, never on the
+    clock, so the same input stops at the same lambda.
+    """
     out: dict = {}
     block = _ActiveBlock(sf.a_rho, sf.b)
-    lam_cur, pivots, k = np.inf, 0, 0
+    lam_cur, pivots, work, k = np.inf, 0, 0, 0
     # A ratio divides by slopes and pivots that may be 0; those entries are masked out.
     with np.errstate(divide="ignore", invalid="ignore"):
         while k < len(lams):
@@ -485,8 +524,10 @@ def _trace_path(sf: StandardFormLp, lams) -> dict:
                         return out
                 out[lams[k]] = sol
                 k += 1
-            if k == len(lams) or pivots == _PIVOTS_PER_COORDINATE * sf.p:
+                work = 0
+            if k == len(lams) or work > budget:
                 break
+            work += _pivot_work(block.n, sf.p)
             if not block.pivot(event):
                 break
             pivots += 1

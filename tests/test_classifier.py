@@ -45,15 +45,20 @@ class TestFitLpd:
         assert model.threshold == 0.0
 
     def test_solver_failure_names_status_lambda_and_gap(self, monkeypatch):
+        """The path hands lambda to the interior-point method after its first pivot
+        (a work bound of 0), and that method stalls."""
         import lpd.classifier as classifier
+        from lpd import l1solver
         from lpd.errors import SolverFailure
         from lpd.l1solver import ITERATION_LIMIT, LpSolution
 
-        def stalls(problem):
-            return LpSolution(beta=np.zeros(problem.b.size), objective=0.0, max_residual=1.0,
-                              iterations=100, duality_gap=3.5e-4, status=ITERATION_LIMIT)
+        def stalls(problem, lambdas):
+            return [LpSolution(beta=np.zeros(problem.b.size), objective=0.0, max_residual=1.0,
+                               iterations=100, duality_gap=3.5e-4, status=ITERATION_LIMIT)
+                    for _ in lambdas]
 
-        monkeypatch.setattr(classifier, "solve", stalls)
+        monkeypatch.setattr(l1solver, "_WORK_MULTIPLE", 0.0)
+        monkeypatch.setattr(l1solver, "solve_grid", stalls)
         moments = compute_moments(random_binary(np.random.default_rng(18), 8, 8, 3, shift=2.0))
         with pytest.raises(SolverFailure) as failure:
             classifier.fit_lpd_from_moments(moments, lam=0.2)

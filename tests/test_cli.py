@@ -83,6 +83,36 @@ class TestTrainPredict:
         assert model.lam == at_two.chosen_lambda
         assert model.metadata["cv_correct"] == at_two.per_lambda_correct()[model.lam]
 
+    def test_lambda_auto_model_is_a_path_vertex(self, tmp_path):
+        """The final fit is the certified path vertex, as CV's fits are: beta has exact
+        zeros, its support is beta != 0, and ||beta||_1 is the interior-point
+        method's at the same lambda within the certificate."""
+        from lpd.classifier import auto_ridge
+        from lpd.dataio import DataFileSchema
+        from lpd.l1solver import GAP_TOL, LpProblem, solve, support_mask
+        from lpd.stats import compute_moments
+
+        rng = np.random.default_rng(4)
+        rows = np.vstack([rng.standard_normal((15, 40)), rng.standard_normal((15, 40))])
+        rows[:15, :3] += 1.5
+        data = tmp_path / "wide.csv"
+        data.write_text("".join(",".join([cls] + [repr(float(v)) for v in row]) + "\n"
+                                for cls, row in zip("A" * 15 + "B" * 15, rows)))
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--folds", "3", "--grid-size", "8",
+                     "--out", str(model_path)]) == 0
+        model = load_model(model_path)
+        assert np.count_nonzero(model.beta == 0) > 0
+        assert np.array_equal(support_mask(model.beta), model.beta != 0)
+
+        moments = compute_moments(load_dataset(data, DataFileSchema()))
+        assert model.ridge_rho == auto_ridge(moments.p, moments.n1 + moments.n2)
+        ipm = solve(LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=model.lam,
+                              ridge_rho=model.ridge_rho, factor=moments.factor))
+        l1 = np.abs(model.beta).sum()
+        assert abs(l1 - ipm.objective) <= GAP_TOL * (1 + l1)
+        assert model.metadata["duality_gap"] <= GAP_TOL
+
     def test_train_outputs_reproducible(self, tmp_path):
         data = tmp_path / "sep.csv"
         write_separable(data, np.random.default_rng(1))

@@ -2,11 +2,14 @@
 
 Importing SciPy's `scipy.linalg` or `scipy.special` costs about a third of a
 second. `import lpd.cli`, `lpd predict` and `lpd screen` must leave no
-`scipy` module loaded. `lpd train`, `lpd cv` and `lpd simulate` solve LPs,
-so they load SciPy's LAPACK extension module, `scipy.linalg._flapack`, but
-by itself: never the `scipy.linalg` package or `scipy.special` (the
-simulation's normal CDF is `math.erfc`). A stray top-level import would put
-the cost back on every job.
+`scipy` module loaded. `lpd train`, `lpd cv` and `lpd simulate` solve LPs
+along the parametric-simplex path, which needs only numpy, so at these
+problem sizes they load no SciPy either. The interior-point method that
+takes what the path hands on (and model 2's precision inverse) loads
+SciPy's LAPACK extension module, `scipy.linalg._flapack`, and that by
+itself: never the `scipy.linalg` package or `scipy.special` (the
+simulation's normal CDF is `math.erfc`); test_linalg checks that load. A
+stray top-level import would put the cost back on every job.
 """
 
 import os
@@ -40,8 +43,8 @@ assert main(["cv", "--data", screened, "--folds", "2", "--grid-size", "3",
              "--out", screened + ".cv"]) == 0
 assert main(["simulate", "--model-id", "3", "--p", "6", "--s0", "2", "--n1", "10", "--n2", "10",
              "--reps", "1", "--folds", "2", "--grid-size", "3", "--out", screened + ".sim"]) == 0
-# The check can see SciPy: the solves loaded its LAPACK extension, and only that.
-assert scipy_modules() == ["scipy.linalg._flapack"], scipy_modules()
+# Every solve stayed on the path, which loads no SciPy.
+assert scipy_modules() == [], scipy_modules()
 """
 
 

@@ -262,8 +262,11 @@ class TestValidation:
             rng.standard_normal((12, 4)), np.concatenate([np.ones(6, int), np.full(6, 2)])
         )
         moments = compute_moments(data)
+        # the path hands lambda on after its first pivot, to one interior-point iteration
+        monkeypatch.setattr(l1solver, "_WORK_MULTIPLE", 0.0)
         monkeypatch.setattr(l1solver, "MAX_ITER", 1)
-        with pytest.raises(SolverFailure, match="status"):
+        message = r"status 'iteration_limit' at lambda=0\.05 \(gap \d\.\d\de[-+]\d+ after 1 iterations\)"
+        with pytest.raises(SolverFailure, match=message):
             fit_lpd_from_moments(moments, 0.05)
 
 

@@ -12,7 +12,11 @@ import pytest
 import lpd
 from lpd import l1solver
 from lpd.errors import InfeasibleProblem, SolverError, SolverFailure
+from lpd.classifier import auto_ridge
 from lpd.l1solver import GAP_TOL, OPTIMAL, LpProblem, solve_grid, solve_path
+from lpd.model_selection import default_lambda_grid
+from lpd.simulation import SimulationSpec, build_model, sample
+from lpd.stats import compute_moments
 
 from oracles import l1_oracle
 
@@ -102,6 +106,49 @@ class TestSolvePath:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             solve_path(LpProblem(A=np.eye(2), b=np.ones(2), lam=1.0), [0.5, -0.1])
+
+
+def wide_problem(p=300, n=60, seed=0):
+    """A draw of `lpd simulate --model-id 3` at p, n/2 rows per class, as an LpProblem
+    with the auto ridge and the data factor (k = n, so 2k < p), and its default grid."""
+    spec = SimulationSpec(model_id=3, p=p, n1=n // 2, n2=n // 2, seed=seed)
+    rng = np.random.default_rng(seed)
+    moments = compute_moments(sample(build_model(spec, rng), spec, rng))
+    problem = LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=1.0,
+                        ridge_rho=auto_ridge(p, n), factor=moments.factor)
+    return problem, default_lambda_grid(moments, 20)
+
+
+class TestWorkBound:
+    """solve_path stops tracing once the pivots since the last certified lambda
+    outgrow _WORK_MULTIPLE interior-point solves, and solve_grid takes the rest.
+    At p=300, n=60 the whole path to the smallest default lambda does about ten
+    solves' work; the segments between grid points stay under the bound."""
+
+    def test_small_lambda_past_the_bound_goes_to_the_interior_point_method(self, monkeypatch):
+        problem, grid = wide_problem()
+        lam = float(grid[-1])
+        (got,) = solve_path(problem, [lam])
+        assert_same_entries([got], solve_grid(problem, [lam]))
+        assert got.status == OPTIMAL and got.low_rank
+        monkeypatch.setattr(l1solver, "_WORK_MULTIPLE", float("inf"))
+        (vertex,) = solve_path(problem, [lam])
+        assert vertex.status == OPTIMAL and not vertex.low_rank
+        assert abs(got.objective - vertex.objective) <= GAP_TOL * (1 + vertex.objective)
+
+    def test_whole_grid_stays_on_the_path(self):
+        problem, grid = wide_problem()
+        assert not any(sol.low_rank for sol in solve_path(problem, grid))
+
+    def test_hand_off_lands_on_the_same_lambda_in_two_runs(self):
+        """The bound counts work from support sizes, not time: the same input hands
+        the same lambdas on, and every entry is the same, bit for bit."""
+        problem, grid = wide_problem()
+        lams = grid[[0, 2, 4, 19, 12]]
+        runs = [solve_path(problem, lams) for _ in range(2)]
+        assert [sol.low_rank for sol in runs[0]] == [False, False, False, True, True]
+        assert_same_entries(runs[0], runs[1])
+        assert all(sol.status == OPTIMAL for sol in runs[0])
 
 
 # The train set of replication `rep` of `simulate --model-id 3 --p 100 --reps 3
