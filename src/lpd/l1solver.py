@@ -108,6 +108,10 @@ MAX_ITER = 100
 class LpProblem:
     """One constrained l1 program: symmetric A, target b, radius lam.
 
+    A is kept, not copied, when it is an exactly symmetric float64 array
+    (as compute_moments' sigma_hat is); one asymmetric within
+    linalg.SYMMETRY_RTOL is replaced by its symmetrization.
+
     ``factor`` is an optional p x k matrix U with A = U U' (for a sample
     covariance, the centred data over sqrt(n)). It only speeds up the
     Newton solves; residuals and the certificate always use A.

@@ -41,7 +41,7 @@ def as_matrix(a, name="matrix"):
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionMismatch(f"{name} must be 2-D and non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not all(np.isfinite(m[start:stop]).all() for start, stop in row_blocks(*m.shape)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -57,12 +57,25 @@ def as_vector(a, name="vector"):
 
 
 def check_symmetric(a, name="matrix"):
-    """Validate symmetry within SYMMETRY_RTOL * max|A| and return the symmetrized array."""
+    """Validate symmetry within SYMMETRY_RTOL * max|A| and return the symmetrized array.
+
+    An exactly symmetric float64 array (bit for bit, signed zeros too) is
+    returned as it is, not copied: it is its own symmetrization. The checks
+    run in :func:`row_blocks` and hold temporaries of a block, not of A.
+    """
     m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
-    scale = np.abs(m).max()
-    if np.abs(m - m.T).max() > SYMMETRY_RTOL * max(scale, 1e-300):
+    bits = m.view(np.int64)
+    if all(np.array_equal(bits[start:stop], bits[:, start:stop].T)
+           for start, stop in row_blocks(*m.shape)):
+        return m
+    scale = skew = 0.0
+    for start, stop in row_blocks(*m.shape):
+        block = m[start:stop]
+        scale = max(scale, np.abs(block).max())
+        skew = max(skew, np.abs(block - m[:, start:stop].T).max())
+    if skew > SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(f"{name} is not symmetric within tolerance")
     return 0.5 * (m + m.T)
 

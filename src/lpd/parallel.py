@@ -1,53 +1,65 @@
 """Independent tasks mapped over forked worker processes.
 
-CV folds and simulate replications are independent by construction: each
-has its own inputs and its own RNG stream. :func:`map_tasks` runs such
-tasks on a ``concurrent.futures.ProcessPoolExecutor`` whose workers are
-forked, so the shared inputs reach them through the fork and only each
-task's index and its result are pickled. Results come back in task order,
-the same list a serial run gives.
+CV folds, simulate replications and the pieces of a large data file are
+independent by construction: each has its own inputs and, where it draws,
+its own RNG stream. :func:`map_tasks` forks its workers with ``os.fork``,
+so the task function and its shared inputs reach them through the fork and
+only each task's result is pickled. Task i runs on worker i mod W. A worker
+writes one length-prefixed, pickled (index, ok, value) record per task to
+its own pipe, stops at its first failing task, and ends with ``os._exit``.
+The parent reads every pipe with ``select`` until EOF and reaps every
+child, then returns the results in task order, the same list a serial run
+gives, or raises the exception of the lowest-numbered failed task, as the
+serial loop would. A worker that dies (a signal, an ``os._exit`` of its
+own) fails the task it was running with a :class:`WorkerError` naming its
+exit status. No child outlives the call: when the parent stops early, on an
+error or an interrupt, it kills and reaps the children left.
 
 Forking a process that runs more than one thread is unsafe: another thread
 may hold a lock at the moment of the fork, and the child then waits on it
 forever (Python 3.12 warns about this). A BLAS that starts its own threads
 (OpenBLAS starts one per core unless ``OPENBLAS_NUM_THREADS=1``) makes such
-a process, so then the tasks run serially. ``multiprocessing`` and
-``concurrent.futures`` are imported only when a pool is made.
+a process, so then the tasks run serially. Nothing here starts a thread.
 """
 
 from __future__ import annotations
 
 import os
-import time
+import pickle
+import select
+import signal
+import struct
+import sys
+import traceback
 
-# (fn, shared) inside a worker process, set by the pool initializer; the
-# parent never sets it.
-_worker_task = None
+# The byte length of the pickled record that follows it on a worker's pipe.
+_LENGTH = struct.Struct("<Q")
+
+
+class WorkerError(RuntimeError):
+    """A worker died before it reported its task, or could not send the task's outcome back."""
+
+
+class _RemoteTraceback(Exception):
+    """The traceback of a task's exception, formatted in the worker; the cause of the re-raise."""
+
+    def __str__(self):
+        return self.args[0]
 
 
 def map_tasks(fn, shared: tuple, count: int, max_workers: int) -> list:
     """``[fn(*shared, i) for i in range(count)]``, on up to ``max_workers`` forked workers.
 
     ``fn`` and ``shared`` reach the workers through the fork; each result
-    must pickle. An exception raised by a task propagates; tasks not yet
-    started are then cancelled. The tasks run serially in this process when fewer than two
-    workers or tasks are asked for, when the platform has no ``fork`` start
-    method, or when this process runs more than one OS thread.
+    must pickle. An exception raised by a task propagates: that of the
+    lowest-numbered failed task, carrying the worker's traceback as its
+    cause. The tasks run serially in this process when fewer than two
+    workers or tasks are asked for, when the platform has no ``os.fork``,
+    or when this process runs more than one OS thread.
     """
     workers = min(max_workers, count)
-    if workers >= 2 and _single_threaded():
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_start_worker, initargs=(fn, shared))
-            try:
-                return list(pool.map(_run_task, range(count)))
-            finally:
-                pool.shutdown(cancel_futures=True)
-                _await_pool_threads()
+    if workers >= 2 and hasattr(os, "fork") and _single_threaded():
+        return _map_forked(fn, shared, count, workers)
     return [fn(*shared, i) for i in range(count)]
 
 
@@ -59,22 +71,118 @@ def _single_threaded() -> bool:
         return False
 
 
-def _await_pool_threads():
-    """Wait, at most a second, until this process has one thread again.
+def _map_forked(fn, shared, count, workers):
+    results = [None] * count
+    failures = {}  # task index -> its exception
+    pending = {}  # read end of a worker's pipe -> [pid, the worker's next unreported task]
+    unreaped = set()
+    for stream in (sys.stdout, sys.stderr):  # or a child's exit flushes the parent's buffer again
+        if stream is not None:
+            stream.flush()
+    try:
+        for worker in range(workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _worker_main(fn, shared, range(worker, count, workers), write_end,
+                             [*pending, read_end])
+            os.close(write_end)
+            unreaped.add(pid)
+            pending[read_end] = [pid, worker]
+        buffers = {read_end: bytearray() for read_end in pending}
+        while buffers:
+            ready, _, _ = select.select(list(buffers), [], [])
+            for read_end in ready:
+                chunk = os.read(read_end, 1 << 16)
+                if not chunk:
+                    del buffers[read_end]
+                    continue
+                data = buffers[read_end]
+                data += chunk
+                while len(data) >= _LENGTH.size:
+                    end = _LENGTH.size + _LENGTH.unpack_from(data)[0]
+                    if len(data) < end:
+                        break
+                    index, ok, value = pickle.loads(data[_LENGTH.size:end])
+                    del data[:end]
+                    if ok:
+                        results[index] = value
+                        pending[read_end][1] = index + workers
+                    else:
+                        failures[index], remote = value
+                        if remote:
+                            failures[index].__cause__ = _RemoteTraceback(remote)
+                        pending[read_end][1] = count  # the worker stops at its first failure
+        for pid, next_task in pending.values():
+            _, status = os.waitpid(pid, 0)
+            unreaped.discard(pid)
+            if next_task < count:
+                failures[next_task] = WorkerError(
+                    f"the worker process running task {next_task} ended before reporting it: "
+                    f"{_describe(status)}")
+    finally:
+        for read_end in pending:
+            os.close(read_end)
+        for pid in unreaped:  # stopped early: no child outlives the call
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failures:
+        raise failures[min(failures)]
+    return results
 
-    The pool's threads are joined by its shutdown, but an OS thread stays
-    listed for up to a few milliseconds after its join returns. A following
-    call would then run serially where this one forked."""
-    deadline = time.monotonic() + 1.0
-    while not _single_threaded() and time.monotonic() < deadline:
-        time.sleep(0.0002)
+
+def _describe(status):
+    if os.WIFSIGNALED(status):
+        number = os.WTERMSIG(status)
+        return f"killed by signal {number} ({signal.Signals(number).name})"
+    return f"exit status {os.waitstatus_to_exitcode(status)}"
 
 
-def _start_worker(fn, shared):
-    global _worker_task
-    _worker_task = (fn, shared)
+def _worker_main(fn, shared, tasks, write_end, inherited):
+    """Run ``tasks`` in a forked child, report each on ``write_end``, and end the process.
+
+    The child never returns into the parent's code: whatever happens, it
+    leaves through ``os._exit``, which runs no exit handlers and flushes no
+    buffers the parent also holds."""
+    status = 1
+    try:
+        for fd in inherited:  # the read ends of the pipes, this worker's and earlier ones'
+            os.close(fd)
+        with open(write_end, "wb") as pipe:
+            for index in tasks:
+                try:
+                    ok, value = True, fn(*shared, index)
+                except BaseException as exc:  # re-raised in the parent
+                    ok, value = False, (exc, traceback.format_exc())
+                ok, data = _pickled(index, ok, value)
+                pipe.write(_LENGTH.pack(len(data)) + data)
+                pipe.flush()
+                if not ok:
+                    break
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _run_task(index):
-    fn, shared = _worker_task
-    return fn(*shared, index)
+def _pickled(index, ok, value):
+    """(ok, the pickled record); an outcome that cannot make the trip becomes a WorkerError.
+
+    An exception's round trip is tried here, as one can pickle and still fail
+    to unpickle (a subclass whose ``__init__`` takes other arguments)."""
+    try:
+        data = pickle.dumps((index, ok, value))
+        if not ok:
+            pickle.loads(data)
+        return ok, data
+    except Exception as exc:  # pickling can raise nearly anything
+        what = f"result (a {type(value).__name__})" if ok else f"exception {value[0]!r}"
+        error = WorkerError(f"task {index}'s {what} could not be sent back from its worker: {exc!r}")
+        return False, pickle.dumps((index, False, (error, "" if ok else value[1])))

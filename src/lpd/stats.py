@@ -143,16 +143,21 @@ def compute_moments(data) -> TwoSampleMoments:
     Sigma = (1/n) * sum_k sum_{i in class k} (x_i - mean_k)(x_i - mean_k)'.
     The factor U = Xc' / sqrt(n) stacks the within-class centred rows as
     columns (p x n), so Sigma = U U' up to rounding.
+
+    Sigma is summed and scaled in one p x p buffer, beside one class's
+    product at a time. Each product ``centered.T @ centered`` goes through
+    BLAS's syrk, which fills one triangle and mirrors it, so Sigma is exactly
+    symmetric as it stands.
     """
     _require_binary(data)
     means = class_means(data)
-    acc = np.zeros((data.p, data.p))
+    sigma = np.zeros((data.p, data.p))
     blocks = []
     for k, mean in means.items():
         centered = data.features[data.class_rows(k)] - mean
-        acc += centered.T @ centered
+        sigma += centered.T @ centered
         blocks.append(centered)
-    sigma = acc / data.n
+    sigma /= data.n
     centred = np.vstack(blocks)
     centred /= math.sqrt(data.n)
     mean1, mean2 = means[1], means[2]
@@ -161,7 +166,7 @@ def compute_moments(data) -> TwoSampleMoments:
         mean2=mean2,
         delta_hat=mean1 - mean2,
         mu_hat=0.5 * (mean1 + mean2),
-        sigma_hat=0.5 * (sigma + sigma.T),
+        sigma_hat=sigma,
         n1=int(data.class_rows(1).size),
         n2=int(data.class_rows(2).size),
         factor=centred.T,

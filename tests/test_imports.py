@@ -69,42 +69,58 @@ def test_predict_and_screen_load_no_scipy(tmp_path):
 
 
 POOL_AND_MA_SCRIPT = """
-import sys
+import os, sys
+from lpd import dataio
 from lpd.cli import main
+
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
+dataio.PIECE_BYTES = 1 << 20  # so the batch file is cut into pieces
+
 
 def loaded(*prefixes):
     return sorted(m for m in sys.modules if m.split(".")[0] in prefixes or m in prefixes)
 
+
+def run(argv):
+    assert main(argv) == 0, argv
+    if (os.cpu_count() or 1) >= 2:  # LPD_THREADS is clamped to the CPU count
+        assert forks, argv
+    forks.clear()
+    assert loaded("multiprocessing", "concurrent") == [], (argv, loaded("multiprocessing", "concurrent"))
+
+
 data, model, batch, work = sys.argv[1:]
 assert loaded("multiprocessing", "concurrent") == [], loaded("multiprocessing", "concurrent")
-assert main(["predict", "--model", model, "--data", batch, "--out", work + ".pred"]) == 0
+run(["predict", "--model", model, "--data", batch, "--out", work + ".pred"])
 assert main(["screen", "--data", data, "--top-k", "2", "--out", work + ".screen"]) == 0
-assert loaded("multiprocessing", "concurrent") == [], loaded("multiprocessing", "concurrent")
-assert main(["train", "--data", data, "--folds", "2", "--grid-size", "3",
-             "--out", work + ".model"]) == 0
-assert main(["cv", "--data", data, "--folds", "2", "--grid-size", "3", "--out", work + ".cv"]) == 0
-assert main(["simulate", "--model-id", "3", "--p", "6", "--s0", "2", "--n1", "10", "--n2", "10",
-             "--reps", "2", "--folds", "2", "--grid-size", "3", "--out", work + ".sim"]) == 0
+run(["train", "--data", data, "--folds", "2", "--grid-size", "3", "--out", work + ".model"])
+run(["cv", "--data", data, "--folds", "2", "--grid-size", "3", "--out", work + ".cv"])
+run(["simulate", "--model-id", "3", "--p", "6", "--s0", "2", "--n1", "10", "--n2", "10",
+     "--reps", "2", "--folds", "2", "--grid-size", "3", "--out", work + ".sim"])
 assert loaded("numpy.ma") == [], loaded("numpy.ma")
 """
 
 
 def test_solving_commands_load_no_numpy_ma(tmp_path):
-    """`import lpd.cli`, `predict` and `screen` load no process pool, and the solving
-    commands never load `numpy.ma` (np.unique imports it on its first call). They
-    run serially here, LPD_THREADS=1, so a load would happen in this process."""
+    """`train --lambda auto`, `cv`, `simulate` and `predict` on a large file fork
+    their workers (LPD_THREADS=2, one BLAS thread) and load no `multiprocessing`
+    or `concurrent` module, nor does `screen`; the solving commands never load
+    `numpy.ma` (np.unique imports it on its first call)."""
     rng = np.random.default_rng(1)
     rows = [",".join([label] + [repr(float(v)) for v in rng.standard_normal(4) + shift])
             for label, shift in (("A", 3.0), ("B", 0.0)) for _ in range(10)]
     data = tmp_path / "train.csv"
     data.write_text("\n".join(rows) + "\n")
     batch = tmp_path / "batch.csv"
-    batch.write_text("\n".join(row.split(",", 1)[1] for row in rows) + "\n")
+    batch.write_text("".join(",".join(map(repr, row)) + "\n"
+                             for row in rng.standard_normal((30000, 4)).tolist()))
+    assert batch.stat().st_size > 2 << 20
     model = tmp_path / "m.json"
     assert main(["train", "--data", str(data), "--lambda", "0.5", "--out", str(model)]) == 0
     src = str(Path(lpd.__file__).resolve().parents[1])
-    env = dict(os.environ, LPD_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, LPD_THREADS="2", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
         [sys.executable, "-c", POOL_AND_MA_SCRIPT, str(data), str(model), str(batch),
          str(tmp_path / "work")],

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,57 @@ class TestCholeskySolve:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             cholesky_solve([[1.0, 0.5], [0.0, 1.0]], [1.0, 1.0])
+
+
+class TestCheckSymmetric:
+    def test_an_exactly_symmetric_matrix_is_kept_not_copied(self):
+        m = np.random.default_rng(5).standard_normal((300, 40))
+        a = m @ m.T
+        assert linalg.check_symmetric(a) is a
+
+    def test_asymmetry_within_tolerance_is_symmetrized(self):
+        a = np.array([[2.0, 1.0, 0.0], [1.0 + 1e-13, 3.0, 0.5], [0.0, 0.5, 1.0]])
+        sym = linalg.check_symmetric(a)
+        assert sym is not a
+        assert sym.tobytes() == (0.5 * (a + a.T)).tobytes()
+        assert a[1, 0] == 1.0 + 1e-13  # the input is not written to
+
+    def test_a_signed_zero_mismatch_is_symmetrized(self):
+        a = np.array([[1.0, 0.0], [-0.0, 1.0]])
+        sym = linalg.check_symmetric(a)
+        assert sym is not a and not np.signbit(sym).any()
+
+    @pytest.mark.parametrize("block_bytes", [32, 1 << 20])
+    def test_asymmetry_beyond_tolerance_raises(self, monkeypatch, block_bytes):
+        """Also when the offending pair lies in two different row blocks."""
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", block_bytes)
+        a = np.eye(9)
+        a[8, 0] = 1e-9
+        with pytest.raises(ValueError, match="not symmetric"):
+            linalg.check_symmetric(a)
+
+    def test_non_finite_entries_raise(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 32)
+        a = np.eye(9)
+        a[7, 7] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.check_symmetric(a)
+
+    def test_the_problem_keeps_sigma_and_allocates_less_than_its_size(self):
+        from lpd.l1solver import LpProblem
+
+        p = 300
+        m = np.random.default_rng(6).standard_normal((p, 60))
+        sigma_hat = m @ m.T
+        b = np.ones(p)
+        tracemalloc.start()
+        try:
+            problem = LpProblem(A=sigma_hat, b=b, lam=0.1, ridge_rho=0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert problem.A is sigma_hat
+        assert peak < 8 * p * p
 
 
 class TestSpdFactorSolve:

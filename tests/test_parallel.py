@@ -3,7 +3,7 @@
 Forking is safe only in a process with one thread, so these run in child
 processes with one BLAS thread (OpenBLAS otherwise starts one per core at
 import, and `map_tasks` then runs serially). Each child counts its own
-forks with `os.register_at_fork`, so a test can tell a pooled run from a
+forks with `os.register_at_fork`, so a test can tell a forked run from a
 serial one.
 """
 
@@ -249,3 +249,125 @@ def test_predict_parses_a_large_file_on_workers(tmp_path):
             assert lines[-1] == f"forks {expected_forks}", (flags, mode)
             outputs[mode] = out.read_bytes()
         assert outputs["forked"] == outputs["serial"] == outputs["threaded"], flags
+
+
+
+KILLED = """
+import signal, time
+from lpd.parallel import WorkerError, map_tasks
+
+def task(i):
+    if i == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
+
+start = time.monotonic()
+try:
+    map_tasks(task, (), 4, 2)
+except WorkerError as exc:
+    print("raised", exc)
+print("seconds", time.monotonic() - start)
+try:
+    print("left", os.waitpid(-1, os.WNOHANG))
+except ChildProcessError:
+    print("left none")
+"""
+
+
+def test_a_killed_worker_fails_its_task_and_leaves_no_child():
+    lines = run_child(KILLED)
+    assert lines[0] == ("raised the worker process running task 1 ended before reporting it: "
+                        "killed by signal 9 (SIGKILL)"), lines
+    assert float(lines[1].split()[1]) < 10
+    assert lines[2] == "left none"
+
+
+UNSENDABLE = """
+import threading
+from lpd.parallel import WorkerError, map_tasks
+
+class TwoArguments(Exception):
+    # pickles, but unpickling calls TwoArguments(message), which fails
+    def __init__(self, name, index):
+        super().__init__(f"{name} at {index}")
+
+def task(kind, i):
+    if i == 2 and kind == "unpicklable":
+        raise TwoArguments("two", i)
+    if i == 2 and kind == "lock":
+        raise ValueError(threading.Lock())
+    if i == 3 and kind == "result":
+        return threading.Lock()
+    return i
+
+for kind in ("unpicklable", "lock", "result"):
+    try:
+        print(kind, "returned", map_tasks(task, (kind,), 5, 2))
+    except WorkerError as exc:
+        print(kind, "raised", exc)
+"""
+
+
+def test_an_outcome_that_cannot_be_sent_back_is_a_worker_error():
+    unpicklable, lock, result = run_child(UNSENDABLE)
+    assert unpicklable.startswith("unpicklable raised task 2's exception TwoArguments('two at 2') "
+                                  "could not be sent back from its worker: TypeError("), unpicklable
+    assert lock.startswith("lock raised task 2's exception ValueError(<unlocked _thread.lock"), lock
+    assert result.startswith("result raised task 3's result (a lock) could not be sent back"), result
+
+
+FIRST_FAILURE = """
+import time
+from lpd.parallel import map_tasks
+
+def task(failing, slow, i):
+    if i == slow:
+        time.sleep(0.5)
+    if i in failing:
+        raise ValueError(f"task {i}")
+    return i
+
+for failing, slow in (({1, 3}, None), ({1, 2}, 1), ({0, 3}, 0)):
+    for workers in (1, 2):
+        try:
+            map_tasks(task, (failing, slow), 5, workers)
+        except ValueError as exc:
+            print(workers, "raised", exc, len(forks))
+        forks.clear()
+"""
+
+
+def test_the_lowest_numbered_failure_propagates_as_in_the_serial_loop():
+    """On two workers, whichever task fails first in time, the caller gets the
+    lowest-numbered failure, the one the serial loop raises."""
+    assert run_child(FIRST_FAILURE) == [f"{workers} raised task {task} {forks}"
+                                        for task in (1, 1, 0) for workers, forks in ((1, 0), (2, 2))]
+
+
+INTERRUPTED = """
+import signal, time
+from lpd.parallel import map_tasks
+
+def interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+signal.signal(signal.SIGALRM, interrupt)
+signal.setitimer(signal.ITIMER_REAL, 0.5)
+start = time.monotonic()
+try:
+    map_tasks(lambda i: time.sleep(60), (), 2, 2)
+except KeyboardInterrupt:
+    print("interrupted", len(forks))
+print("seconds", time.monotonic() - start)
+try:
+    print("left", os.waitpid(-1, os.WNOHANG))
+except ChildProcessError:
+    print("left none")
+"""
+
+
+def test_an_interrupted_parent_kills_and_reaps_its_workers():
+    interrupted, seconds, left = run_child(INTERRUPTED)
+    assert interrupted == "interrupted 2"
+    assert float(seconds.split()[1]) < 10
+    assert left == "left none"

@@ -106,6 +106,27 @@ class TestComputeMoments:
         m = compute_moments(data)
         assert_allclose(pooled_variances(data), np.diag(m.sigma_hat), rtol=1e-12)
 
+    @pytest.mark.parametrize("n1, n2, p", [(2, 2, 1), (5, 4, 1), (6, 7, 3), (10, 12, 60),
+                                           (30, 30, 300), (150, 90, 40)])
+    def test_sigma_is_exactly_symmetric(self, n1, n2, p):
+        """Each class's product goes through syrk, which mirrors one triangle, so
+        Sigma needs no symmetrizing copy; n < p included."""
+        sigma = compute_moments(random_dataset(np.random.default_rng(p + n1), n1, n2, p)).sigma_hat
+        assert np.array_equal(sigma, sigma.T)
+        assert sigma.tobytes() == sigma.T.copy().tobytes()  # signed zeros too
+
+    def test_moments_hold_two_p_by_p_arrays_at_most(self):
+        """Sigma's buffer and one class's product; the rest is O(np)."""
+        n1, n2, p = 20, 20, 400
+        data = random_dataset(np.random.default_rng(8), n1, n2, p)
+        tracemalloc.start()
+        try:
+            compute_moments(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * p * p + 4 * 8 * (n1 + n2) * p
+
     def test_class_missing(self):
         data = LabeledDataset(np.zeros((3, 2)), np.array([1, 1, 1]))
         with pytest.raises(ClassMissing):
