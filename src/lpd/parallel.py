@@ -12,8 +12,13 @@ child, then returns the results in task order, the same list a serial run
 gives, or raises the exception of the lowest-numbered failed task, as the
 serial loop would. A worker that dies (a signal, an ``os._exit`` of its
 own) fails the task it was running with a :class:`WorkerError` naming its
-exit status. No child outlives the call: when the parent stops early, on an
-error or an interrupt, it kills and reaps the children left.
+exit status. Once a task has failed, a worker whose remaining tasks all
+come after the lowest failure so far is killed at once: its outcomes
+cannot change the exception raised. No child outlives the call: when the
+parent stops early, on an error or an interrupt, it kills and reaps the
+children left. SIGINT is held off across each fork and each reap, so a
+Ctrl-C can neither unwind a new child into the caller's code nor strike
+between a child's reaping and its removal from the set the parent kills.
 
 Forking a process that runs more than one thread is unsafe: another thread
 may hold a lock at the moment of the fork, and the child then waits on it
@@ -24,6 +29,7 @@ a process, so then the tasks run serially. Nothing here starts a thread.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import select
@@ -74,83 +80,124 @@ def _single_threaded() -> bool:
 def _map_forked(fn, shared, count, workers):
     results = [None] * count
     failures = {}  # task index -> its exception
-    pending = {}  # read end of a worker's pipe -> [pid, the worker's next unreported task]
+    live = {}  # read end of a running worker's pipe -> [pid, its next unreported task, unread bytes]
     unreaped = set()
     for stream in (sys.stdout, sys.stderr):  # or a child's exit flushes the parent's buffer again
         if stream is not None:
             stream.flush()
     try:
         for worker in range(workers):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_end)
+            with _interrupts_held() as mask:  # so the child cannot unwind into the caller's code
+                read_end, write_end = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(read_end)
+                    os.close(write_end)
+                    raise
+                if pid == 0:
+                    _worker_main(fn, shared, range(worker, count, workers), write_end,
+                                 [*live, read_end], mask)
                 os.close(write_end)
-                raise
-            if pid == 0:
-                _worker_main(fn, shared, range(worker, count, workers), write_end,
-                             [*pending, read_end])
-            os.close(write_end)
-            unreaped.add(pid)
-            pending[read_end] = [pid, worker]
-        buffers = {read_end: bytearray() for read_end in pending}
-        while buffers:
-            ready, _, _ = select.select(list(buffers), [], [])
+                unreaped.add(pid)
+                live[read_end] = [pid, worker, bytearray()]
+        while live:
+            ready, _, _ = select.select(list(live), [], [])
             for read_end in ready:
+                if read_end not in live:  # stopped below, after an earlier pipe's failure
+                    continue
                 chunk = os.read(read_end, 1 << 16)
                 if not chunk:
-                    del buffers[read_end]
-                    continue
-                data = buffers[read_end]
-                data += chunk
-                while len(data) >= _LENGTH.size:
-                    end = _LENGTH.size + _LENGTH.unpack_from(data)[0]
-                    if len(data) < end:
-                        break
-                    index, ok, value = pickle.loads(data[_LENGTH.size:end])
-                    del data[:end]
-                    if ok:
-                        results[index] = value
-                        pending[read_end][1] = index + workers
-                    else:
-                        failures[index], remote = value
-                        if remote:
-                            failures[index].__cause__ = _RemoteTraceback(remote)
-                        pending[read_end][1] = count  # the worker stops at its first failure
-        for pid, next_task in pending.values():
-            _, status = os.waitpid(pid, 0)
-            unreaped.discard(pid)
-            if next_task < count:
-                failures[next_task] = WorkerError(
-                    f"the worker process running task {next_task} ended before reporting it: "
-                    f"{_describe(status)}")
+                    next_task = live[read_end][1]
+                    status = _stop(read_end, live, unreaped, kill=False)
+                    if next_task < count:
+                        failures[next_task] = WorkerError(
+                            f"the worker process running task {next_task} ended before "
+                            f"reporting it: {_describe(status)}")
+                else:
+                    _read_records(live[read_end], chunk, workers, count, results, failures)
+                if failures:  # a worker whose tasks all come after the lowest failure cannot change it
+                    first = min(failures)
+                    for other in [fd for fd, (_, next_task, _) in live.items() if next_task > first]:
+                        _stop(other, live, unreaped, kill=True)
     finally:
-        for read_end in pending:
-            os.close(read_end)
-        for pid in unreaped:  # stopped early: no child outlives the call
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        with _interrupts_held():  # stopped early, on an error or an interrupt: no child outlives the call
+            for read_end in live:
+                os.close(read_end)
+            for pid in unreaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     if failures:
         raise failures[min(failures)]
     return results
 
 
+def _read_records(worker, chunk, workers, count, results, failures):
+    """Add ``chunk`` to the worker's unread bytes and take in every whole record."""
+    data = worker[2]
+    data += chunk
+    while len(data) >= _LENGTH.size:
+        end = _LENGTH.size + _LENGTH.unpack_from(data)[0]
+        if len(data) < end:
+            break
+        index, ok, value = pickle.loads(data[_LENGTH.size:end])
+        del data[:end]
+        if ok:
+            results[index] = value
+            worker[1] = index + workers
+        else:
+            failures[index], remote = value
+            if remote:
+                failures[index].__cause__ = _RemoteTraceback(remote)
+            worker[1] = count  # the worker stops at its first failure
+
+
+def _stop(read_end, live, unreaped, kill):
+    """Close a worker's pipe and reap it, first killing it if ``kill``; return its wait status."""
+    with _interrupts_held():  # a reaped pid never stays in ``unreaped``, to be killed once reused
+        pid = live.pop(read_end)[0]
+        os.close(read_end)
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+        unreaped.discard(pid)
+    return status
+
+
+@contextlib.contextmanager
+def _interrupts_held():
+    """Hold SIGINT, and so KeyboardInterrupt, off this thread for the block; yield the old mask.
+
+    Only short steps run held: a fork, or a wait for a child that has closed
+    its pipe or been sent SIGKILL, so Ctrl-C is put off, not lost."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield mask
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
 def _describe(status):
     if os.WIFSIGNALED(status):
         number = os.WTERMSIG(status)
-        return f"killed by signal {number} ({signal.Signals(number).name})"
+        try:
+            return f"killed by signal {number} ({signal.Signals(number).name})"
+        except ValueError:  # a real-time signal has no name
+            return f"killed by signal {number}"
     return f"exit status {os.waitstatus_to_exitcode(status)}"
 
 
-def _worker_main(fn, shared, tasks, write_end, inherited):
+def _worker_main(fn, shared, tasks, write_end, inherited, mask):
     """Run ``tasks`` in a forked child, report each on ``write_end``, and end the process.
 
     The child never returns into the parent's code: whatever happens, it
     leaves through ``os._exit``, which runs no exit handlers and flushes no
-    buffers the parent also holds."""
+    buffers the parent also holds. It starts with SIGINT held and restores
+    ``mask`` only inside its ``try``. It flushes its output before it closes
+    the pipe, so the parent's EOF means the worker is ending."""
     status = 1
     try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for fd in inherited:  # the read ends of the pipes, this worker's and earlier ones'
             os.close(fd)
         with open(write_end, "wb") as pipe:
@@ -164,9 +211,9 @@ def _worker_main(fn, shared, tasks, write_end, inherited):
                 pipe.flush()
                 if not ok:
                     break
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
         status = 0
     finally:
         os._exit(status)

@@ -84,10 +84,13 @@ def loaded(*prefixes):
 
 def run(argv):
     assert main(argv) == 0, argv
-    if (os.cpu_count() or 1) >= 2:  # LPD_THREADS is clamped to the CPU count
+    if os.environ["LPD_THREADS"] == "1":
+        assert not forks, argv
+    elif (os.cpu_count() or 1) >= 2:  # LPD_THREADS is clamped to the CPU count
         assert forks, argv
     forks.clear()
     assert loaded("multiprocessing", "concurrent") == [], (argv, loaded("multiprocessing", "concurrent"))
+    assert loaded("numpy.ma") == [], (argv, loaded("numpy.ma"))
 
 
 data, model, batch, work = sys.argv[1:]
@@ -98,15 +101,16 @@ run(["train", "--data", data, "--folds", "2", "--grid-size", "3", "--out", work 
 run(["cv", "--data", data, "--folds", "2", "--grid-size", "3", "--out", work + ".cv"])
 run(["simulate", "--model-id", "3", "--p", "6", "--s0", "2", "--n1", "10", "--n2", "10",
      "--reps", "2", "--folds", "2", "--grid-size", "3", "--out", work + ".sim"])
-assert loaded("numpy.ma") == [], loaded("numpy.ma")
 """
 
 
 def test_solving_commands_load_no_numpy_ma(tmp_path):
-    """`train --lambda auto`, `cv`, `simulate` and `predict` on a large file fork
-    their workers (LPD_THREADS=2, one BLAS thread) and load no `multiprocessing`
-    or `concurrent` module, nor does `screen`; the solving commands never load
-    `numpy.ma` (np.unique imports it on its first call)."""
+    """`train --lambda auto`, `cv`, `simulate`, `predict` on a large file and
+    `screen` load no `multiprocessing` or `concurrent` module and never load
+    `numpy.ma` (np.unique imports it on its first call). At LPD_THREADS=1
+    every fold and replication runs in the script's own process, where a load
+    would show; at LPD_THREADS=2 (one BLAS thread) the commands fork their
+    workers, and the parent's own part must load neither."""
     rng = np.random.default_rng(1)
     rows = [",".join([label] + [repr(float(v)) for v in rng.standard_normal(4) + shift])
             for label, shift in (("A", 3.0), ("B", 0.0)) for _ in range(10)]
@@ -119,11 +123,13 @@ def test_solving_commands_load_no_numpy_ma(tmp_path):
     model = tmp_path / "m.json"
     assert main(["train", "--data", str(data), "--lambda", "0.5", "--out", str(model)]) == 0
     src = str(Path(lpd.__file__).resolve().parents[1])
-    env = dict(os.environ, LPD_THREADS="2", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        [sys.executable, "-c", POOL_AND_MA_SCRIPT, str(data), str(model), str(batch),
-         str(tmp_path / "work")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
+    for threads in ("1", "2"):
+        env = dict(os.environ, LPD_THREADS=threads, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", POOL_AND_MA_SCRIPT, str(data), str(model), str(batch),
+             str(tmp_path / f"work{threads}")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, (threads, result.stderr)

@@ -8,11 +8,13 @@ serial one.
 """
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lpd
 from lpd import parallel
@@ -258,7 +260,7 @@ from lpd.parallel import WorkerError, map_tasks
 
 def task(i):
     if i == 1:
-        os.kill(os.getpid(), signal.SIGKILL)
+        os.kill(os.getpid(), int(sys.argv[1]))
     return i
 
 start = time.monotonic()
@@ -275,10 +277,20 @@ except ChildProcessError:
 
 
 def test_a_killed_worker_fails_its_task_and_leaves_no_child():
-    lines = run_child(KILLED)
+    lines = run_child(KILLED, int(signal.SIGKILL))
     assert lines[0] == ("raised the worker process running task 1 ended before reporting it: "
                         "killed by signal 9 (SIGKILL)"), lines
     assert float(lines[1].split()[1]) < 10
+    assert lines[2] == "left none"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGRTMIN"), reason="no real-time signals")
+def test_a_worker_killed_by_a_nameless_signal_is_a_worker_error():
+    """A real-time signal has no name in `signal.Signals`; the error gives its number."""
+    number = int(signal.SIGRTMIN) + 6
+    lines = run_child(KILLED, number)
+    assert lines[0] == ("raised the worker process running task 1 ended before reporting it: "
+                        f"killed by signal {number}"), lines
     assert lines[2] == "left none"
 
 
@@ -344,12 +356,65 @@ def test_the_lowest_numbered_failure_propagates_as_in_the_serial_loop():
                                         for task in (1, 1, 0) for workers, forks in ((1, 0), (2, 2))]
 
 
+FAIL_FAST = """
+import time
+from lpd.parallel import map_tasks
+
+def task(i):
+    if i == 0:
+        raise ValueError("task 0")
+    if i == 3:
+        time.sleep(60)
+    return i
+
+start = time.monotonic()
+try:
+    map_tasks(task, (), 6, 2)
+except ValueError as exc:
+    print("raised", exc, len(forks))
+print("seconds", time.monotonic() - start)
+try:
+    print("left", os.waitpid(-1, os.WNOHANG))
+except ChildProcessError:
+    print("left none")
+"""
+
+
+def test_a_failure_stops_the_workers_whose_tasks_all_come_after_it():
+    """Task 0 fails on worker 0; worker 1's tasks (1, 3, 5) cannot fail ahead of
+    it, so the caller does not wait for task 3's minute-long sleep."""
+    raised, seconds, left = run_child(FAIL_FAST)
+    assert raised == "raised task 0 2"
+    assert float(seconds.split()[1]) < 10
+    assert left == "left none"
+
+
+MASKS = """
+import signal
+from lpd.parallel import map_tasks
+
+def held(i):
+    return signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+print(map_tasks(held, (), 4, 2), len(forks), held(None))
+"""
+
+
+def test_workers_and_the_parent_end_with_sigint_deliverable():
+    """SIGINT is held across each fork and reap; neither a worker's task nor the
+    caller is left with it held."""
+    assert run_child(MASKS) == ["[False, False, False, False] 2 False"]
+
+
 INTERRUPTED = """
 import signal, time
 from lpd.parallel import map_tasks
 
 def interrupt(signum, frame):
-    raise KeyboardInterrupt
+    if sys.argv[1] == "sigint":
+        os.kill(os.getpid(), signal.SIGINT)  # Python's own handler raises KeyboardInterrupt
+    else:
+        raise KeyboardInterrupt
 
 signal.signal(signal.SIGALRM, interrupt)
 signal.setitimer(signal.ITIMER_REAL, 0.5)
@@ -366,8 +431,9 @@ except ChildProcessError:
 """
 
 
-def test_an_interrupted_parent_kills_and_reaps_its_workers():
-    interrupted, seconds, left = run_child(INTERRUPTED)
+@pytest.mark.parametrize("how", ["raise", "sigint"])
+def test_an_interrupted_parent_kills_and_reaps_its_workers(how):
+    interrupted, seconds, left = run_child(INTERRUPTED, how)
     assert interrupted == "interrupted 2"
     assert float(seconds.split()[1]) < 10
     assert left == "left none"
