@@ -6,10 +6,12 @@
 For every p in {100, 200, 300, 600, 1000} and n in {60, 200}, draws one
 two-class AR(1) sample (the `lpd simulate --model-id 3` design, n/2 rows per
 class), forms its moments, and solves the l1 program at three lambdas of the
-default CV grid twice: once on the dense Newton path (no factor) and once on
-the low-rank path (the centred-data factor, k = n columns). The low-rank
-path is forced even where the solver's rule (2k < p) would not take it, so
-both sides of the rule are measured. Each solve is repeated and its median
+default CV grid twice: once on the dense Newton path (A = Sigma_hat, no
+factor) and once on the low-rank route as `lpd` builds it
+(`classifier.lpd_problem`: the centred-data factor alone, k = n columns,
+with no p x p matrix but in a dense Newton fallback). The low-rank route is
+forced even where the solver's rule (2k < p) would not take it, so both
+sides of the rule are measured. Each solve is repeated and its median
 wall time kept; the file records those medians, the iteration counts, the
 dense fallbacks of the low-rank path, nproc, and the numpy, scipy and BLAS
 versions. One BLAS thread throughout. Run from the root of a source
@@ -35,8 +37,8 @@ import scipy  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from lpd import l1solver  # noqa: E402
-from lpd.classifier import auto_ridge  # noqa: E402
+from lpd import classifier, l1solver  # noqa: E402
+from lpd.classifier import auto_ridge, lpd_problem  # noqa: E402
 from lpd.model_selection import default_lambda_grid  # noqa: E402
 from lpd.simulation import SimulationSpec, build_model, sample  # noqa: E402
 from lpd.stats import compute_moments  # noqa: E402
@@ -48,13 +50,13 @@ GRID_POINTS = (4, 9, 14)  # of the 20-point default grid: large, middle and smal
 
 @contextlib.contextmanager
 def low_rank_everywhere():
-    """Let the solver take the low-rank step whatever the factor's width."""
-    rule = l1solver._low_rank
-    l1solver._low_rank = lambda p, k: True
+    """Let the solver, and lpd_problem, take the low-rank route whatever the factor's width."""
+    rule = l1solver.thin_factor
+    l1solver.thin_factor = classifier.thin_factor = lambda p, k: True
     try:
         yield
     finally:
-        l1solver._low_rank = rule
+        l1solver.thin_factor = classifier.thin_factor = rule
 
 
 def timed_solve(problem, repeats):
@@ -66,18 +68,16 @@ def timed_solve(problem, repeats):
     return statistics.median(times), sol
 
 
-def run_path(moments, lambdas, rho, factor, repeats):
+def run_path(problems, repeats):
     total_s, iterations, fallbacks, not_optimal = 0.0, 0, 0, 0
-    for lam in lambdas:
-        problem = l1solver.LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=lam,
-                                     ridge_rho=rho, factor=factor)
+    for problem in problems:
         seconds, sol = timed_solve(problem, repeats)
         total_s += seconds
         iterations += sol.iterations
         fallbacks += sol.fallbacks
         not_optimal += sol.status != l1solver.OPTIMAL
     return {
-        "solve_s": total_s / len(lambdas),
+        "solve_s": total_s / len(problems),
         "ms_per_iteration": 1e3 * total_s / max(iterations, 1),
         "iterations": iterations,
         "fallbacks": fallbacks,
@@ -92,9 +92,10 @@ def case(p, n, repeats, seed):
     grid = default_lambda_grid(moments, 20)
     lambdas = [float(grid[i]) for i in GRID_POINTS]
     rho = auto_ridge(p, n)
-    dense = run_path(moments, lambdas, rho, None, repeats)
+    dense = run_path([l1solver.LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=lam,
+                                         ridge_rho=rho) for lam in lambdas], repeats)
     with low_rank_everywhere():
-        low = run_path(moments, lambdas, rho, moments.factor, repeats)
+        low = run_path([lpd_problem(moments, rho, lam) for lam in lambdas], repeats)
     k = moments.factor.shape[1]
     return {
         "p": p,

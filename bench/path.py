@@ -48,7 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from lpd import l1solver  # noqa: E402
-from lpd.classifier import auto_ridge, fit_lpd_path  # noqa: E402
+from lpd.classifier import auto_ridge, fit_lpd_path, lpd_problem  # noqa: E402
 from lpd.errors import SolverError  # noqa: E402
 from lpd.model_selection import default_lambda_grid, make_folds  # noqa: E402
 from lpd.simulation import SimulationSpec, build_model, sample  # noqa: E402
@@ -76,9 +76,7 @@ def grids(p, seed):
 
 
 def compare(moments, grid):
-    rho = auto_ridge(moments.p, moments.n1 + moments.n2)
-    problem = l1solver.LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=float(grid[0]),
-                                 ridge_rho=rho, factor=moments.factor)
+    problem = lpd_problem(moments, auto_ridge(moments.p, moments.n1 + moments.n2), float(grid[0]))
     start = time.perf_counter()
     models = fit_lpd_path(moments, grid)
     path_s = time.perf_counter() - start
@@ -110,12 +108,11 @@ def compare(moments, grid):
 
 def wide_problem(p, n, seed):
     """One model-3 draw at p with n/2 rows per class, as the program `lpd train`
-    solves (auto ridge, data factor), and its default grid."""
+    solves (auto ridge, :func:`lpd.classifier.lpd_problem`), and its default grid."""
     spec = SimulationSpec(model_id=3, p=p, n1=n // 2, n2=n // 2, reps=1, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     moments = compute_moments(sample(build_model(spec, rng), spec, rng))
-    problem = l1solver.LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=1.0,
-                                 ridge_rho=auto_ridge(p, n), factor=moments.factor)
+    problem = lpd_problem(moments, auto_ridge(p, n), 1.0)
     return problem, default_lambda_grid(moments, GRID_SIZE)
 
 

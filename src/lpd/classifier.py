@@ -17,7 +17,14 @@ from . import linalg
 from .errors import DimensionMismatch, EmptySupport, SolverError, SolverFailure, ZeroVariance
 # `solve` is no longer called here; it stays importable as lpd.classifier.solve,
 # the name perfbench/spans.py traces.
-from .l1solver import OPTIMAL, LpProblem, solve, solve_path  # noqa: F401
+from .l1solver import (  # noqa: F401
+    OPTIMAL,
+    LpProblem,
+    low_rank_route,
+    solve,
+    solve_path,
+    thin_factor,
+)
 from .stats import LabeledDataset, TwoSampleMoments, compute_moments
 
 
@@ -147,11 +154,25 @@ def fit_lpd_path(moments: TwoSampleMoments, lambdas, ridge_rho: float | None = N
         return []
     if ridge_rho is None:
         ridge_rho = auto_ridge(moments.p, moments.n1 + moments.n2)
-    problem = LpProblem(A=moments.sigma_hat, b=moments.delta_hat, lam=lambdas[0],
-                        ridge_rho=ridge_rho, factor=moments.factor)
+    problem = lpd_problem(moments, ridge_rho, lambdas[0])
     return [sol if isinstance(sol, SolverError)
             else _certified_model(moments, lam, sol, ridge_rho)
             for lam, sol in zip(lambdas, solve_path(problem, lambdas))]
+
+
+def lpd_problem(moments: TwoSampleMoments, ridge_rho: float, lam: float) -> LpProblem:
+    """The l1 program that :func:`fit_lpd_path` solves at the moments.
+
+    On wide data (2n < p) at ridge_rho > 0 it goes through the centred-data
+    factor alone (:func:`~lpd.l1solver.low_rank_route`), and sigma_hat is
+    never formed. Otherwise A is sigma_hat, with the factor beside it only
+    on wide data at ridge_rho = 0, where it speeds up the Newton solves.
+    """
+    n = moments.n1 + moments.n2
+    factor = moments.factor if thin_factor(moments.p, n) else None
+    wide = low_rank_route(moments.p, n, ridge_rho)
+    return LpProblem(A=None if wide else moments.sigma_hat, b=moments.delta_hat, lam=lam,
+                     ridge_rho=ridge_rho, factor=factor)
 
 
 def _certified_model(moments, lam, sol, ridge_rho):

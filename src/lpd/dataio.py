@@ -41,10 +41,11 @@ from .parallel import map_tasks
 from .stats import LabeledDataset
 
 MODEL_SCHEMA_VERSION = 1
-# A plain file is split only into pieces of at least this size. A worker
-# pool's start-up and shutdown cost about 45 ms, and np.loadtxt reads about
-# 30 ms a MB (2 vCPUs): a 4 MB file took 0.12 s either way, an 8 MB file
-# 0.25 s whole and 0.19 s in two pieces.
+# A plain file is split only into pieces of at least this size, chosen when a
+# worker pool's start-up and shutdown cost about 45 ms: np.loadtxt reads about
+# 30 ms a MB (2 vCPUs), and a 4 MB file took 0.12 s either way, an 8 MB file
+# 0.25 s whole and 0.19 s in two pieces. Forking two workers now costs about
+# 5 ms (README), so smaller pieces might pay; the size has not been re-tuned.
 PIECE_BYTES = 4 << 20
 # A piece is parsed in line-aligned chunks of about this size, so that a
 # worker holds a chunk's text and rows, not its piece's.

@@ -21,8 +21,14 @@ That p x p system is A_rho W A_rho + D with W and D diagonal. When the
 problem carries a thin factor U of A (A = U U', k columns, 2k < p), the
 system is diagonal plus rank 2k and is solved by Sherman-Morrison-Woodbury
 at O(p k^2) per iteration instead of O(p^3). Every such solve is checked
-against the dense operator; an iteration whose check fails falls back to
+against the operator A_rho; an iteration whose check fails falls back to
 the dense assembly and Cholesky.
+
+A problem may leave A out and give only such a thin factor and a ridge
+rho > 0 (the low-rank route). A_rho = U U' + rho I is then never formed:
+its products cost O(p k), its rows are formed one at a time, and the start
+point A_rho^{-1} b comes from a k x k Cholesky factor by Woodbury. Only a
+dense Newton fallback still forms A_rho, for that iteration.
 
 solve_grid solves the program at every lambda of a grid as one batch: the
 start point is shared, and the members' iterations run in step on stacked
@@ -113,20 +119,23 @@ class LpProblem:
     linalg.SYMMETRY_RTOL is replaced by its symmetrization.
 
     ``factor`` is an optional p x k matrix U with A = U U' (for a sample
-    covariance, the centred data over sqrt(n)). It only speeds up the
-    Newton solves; residuals and the certificate always use A.
+    covariance, the centred data over sqrt(n)). Beside A it only speeds up
+    the Newton solves; residuals and the certificate use A. A may be None
+    when U is thin (2k < p) and ridge_rho > 0 (:func:`low_rank_route`):
+    then A is U U', and the solvers go through U alone.
     """
 
-    A: np.ndarray
+    A: np.ndarray | None
     b: np.ndarray
     lam: float
     ridge_rho: float = 0.0
     factor: np.ndarray | None = None
 
     def __post_init__(self):
-        self.A = linalg.check_symmetric(self.A, "A")
+        if self.A is not None:
+            self.A = linalg.check_symmetric(self.A, "A")
         self.b = linalg.as_vector(self.b, "b")
-        if self.A.shape[0] != self.b.size:
+        if self.A is not None and self.A.shape[0] != self.b.size:
             raise DimensionMismatch(
                 f"A is {self.A.shape} but b has length {self.b.size}"
             )
@@ -142,6 +151,10 @@ class LpProblem:
                 raise DimensionMismatch(
                     f"factor is {self.factor.shape} but b has length {self.b.size}"
                 )
+        if self.A is None and (self.factor is None or not low_rank_route(
+                self.p, self.factor.shape[1], self.ridge_rho)):
+            raise ValueError("A may be left out only with a factor of 2k < p columns "
+                             "and ridge_rho > 0")
 
     @property
     def p(self) -> int:
@@ -174,10 +187,18 @@ class StandardFormLp:
     Variables are x = (beta, u) of length 2p; constraints number 4p, in the
     fixed block order (-beta - u, +beta - u, -A beta, +A beta) against the
     right-hand side (0, 0, lam - b, lam + b).
+
+    A_rho is ``a_rho``, held densely, or, where that is None (the low-rank
+    route), U U' + rho I through the ``factor`` U and ``rho``. The solvers
+    reach it only through :meth:`times_a`, :meth:`row`, :meth:`solve_a` and
+    :meth:`dense`. Beside a dense ``a_rho`` the factor, if any, is there for
+    the Newton solves alone.
     """
 
-    a_rho: np.ndarray
+    a_rho: np.ndarray | None
     b: np.ndarray
+    factor: np.ndarray | None = None
+    rho: float = 0.0
 
     @property
     def p(self) -> int:
@@ -197,11 +218,33 @@ class StandardFormLp:
         """A_rho @ x for a vector, or for each row of a matrix. Row by row: one
         matrix product over all rows would round differently from the vector case."""
         if x.ndim == 1:
-            return self.a_rho @ x
+            return _times_a_rho(self.a_rho, self.factor, self.rho, x)
         out = np.empty_like(x)
         for row, target in zip(x, out):
-            np.matmul(self.a_rho, row, out=target)
+            target[:] = _times_a_rho(self.a_rho, self.factor, self.rho, row)
         return out
+
+    def row(self, k) -> np.ndarray:
+        """Row k of A_rho: a view of a dense A_rho, else U U[k] + rho e_k, O(p k)."""
+        if self.a_rho is not None:
+            return self.a_rho[k]
+        row = self.factor @ self.factor[k]
+        row[k] += self.rho
+        return row
+
+    def solve_a(self, v) -> np.ndarray:
+        """A_rho^{-1} v by Cholesky: of A_rho, or on the low-rank route of the
+        k x k matrix rho I + U' U, by Woodbury; raises NotPositiveDefinite."""
+        if self.a_rho is not None:
+            return linalg.spd_solve(linalg.spd_factor(self.a_rho), v)
+        small = self.factor.T @ self.factor
+        _diagonal(small)[:] += self.rho
+        t = linalg.spd_solve(linalg.spd_factor(small), self.factor.T @ v)
+        return (v - self.factor @ t) / self.rho
+
+    def dense(self) -> np.ndarray:
+        """A_rho as a p x p array: formed from the factor on the low-rank route."""
+        return _dense_a_rho(self.a_rho, self.factor, self.rho)
 
     def apply_g(self, beta, u, ab=None) -> np.ndarray:
         """G @ (beta, u) without materializing G, for one point or one per row;
@@ -220,10 +263,33 @@ class StandardFormLp:
 def build_lp(problem: LpProblem) -> StandardFormLp:
     """Recast the constrained l1 program as the standard-form inequality LP."""
     a_rho = problem.A
-    if problem.ridge_rho > 0:
+    if a_rho is not None and problem.ridge_rho > 0:
         a_rho = a_rho.copy()
         _diagonal(a_rho)[:] += problem.ridge_rho
-    return StandardFormLp(a_rho=a_rho, b=problem.b.copy())
+    return StandardFormLp(a_rho=a_rho, b=problem.b.copy(), factor=problem.factor,
+                          rho=problem.ridge_rho)
+
+
+def low_rank_route(p: int, k: int, ridge_rho: float) -> bool:
+    """Whether a program with a k-column factor may go without A: the factor
+    is thin (:func:`thin_factor`) and the ridge makes A_rho positive definite."""
+    return ridge_rho > 0 and thin_factor(p, k)
+
+
+def _times_a_rho(a_rho, factor, rho, x):
+    """A_rho @ x for a vector x: dense, or U (U' x) + rho x where a_rho is None."""
+    if a_rho is None:
+        return factor @ (factor.T @ x) + rho * x
+    return a_rho @ x
+
+
+def _dense_a_rho(a_rho, factor, rho):
+    """A_rho as given, or U U' + rho I formed where a_rho is None."""
+    if a_rho is not None:
+        return a_rho
+    dense = factor @ factor.T
+    _diagonal(dense)[:] += rho
+    return dense
 
 
 def _diagonal(square):
@@ -243,7 +309,7 @@ def _step_lengths(v, dv):
 
 
 def _solution(sf, beta, iterations, gap, status, low_rank=False, fallbacks=0):
-    resid = float(np.abs(sf.a_rho @ beta - sf.b).max())
+    resid = float(np.abs(sf.times_a(beta) - sf.b).max())
     return LpSolution(
         beta=beta.copy(),
         objective=float(np.abs(beta).sum()),
@@ -256,7 +322,7 @@ def _solution(sf, beta, iterations, gap, status, low_rank=False, fallbacks=0):
     )
 
 
-def _low_rank(p: int, k: int) -> bool:
+def thin_factor(p: int, k: int) -> bool:
     """Whether a k-column factor makes the Woodbury step cheaper than the dense one."""
     return 2 * k < p
 
@@ -287,19 +353,22 @@ class _NewtonSystem:
     diag(dd), V = [U, W U] and C = [[U' W U, rho I], [rho I, 0]], and
     H^{-1} r = G^{-1} r - G^{-1} V K^{-1} C V' G^{-1} r through the LU of the
     2k x 2k capacitance matrix K = I + C V' G^{-1} V. Each such solve is
-    checked against the dense H and refined; if it still fails, the dense
-    factor is built and used for the rest of the iteration.
+    checked against H, applied through ``a_rho`` (or through U where
+    ``a_rho`` is None), and refined; if it still fails, the dense factor is
+    built, A_rho formed for it where it is not held, and used for the rest of
+    the iteration.
     """
 
     def __init__(self, a_rho, w, dd, factor=None, rho=0.0):
         self.a_rho, self.w, self.dd = a_rho, w, dd
+        self.factor, self.rho = factor, rho
         self.low_rank = factor is not None
         self.dense = None
         self.lu = None
         if factor is None:
             self.dense = _dense_newton_factor(a_rho, w, dd)
             return
-        self.k, self.rho = factor.shape[1], rho
+        self.k = factor.shape[1]
         self.g = rho * rho * w + dd
         if not np.all(self.g > 0):
             return
@@ -317,8 +386,10 @@ class _NewtonSystem:
         return self.low_rank and self.dense is not None
 
     def apply(self, x):
-        """H x with the dense A_rho."""
-        return self.a_rho @ (self.w * (self.a_rho @ x)) + self.dd * x
+        """H x, through A_rho."""
+        return (_times_a_rho(self.a_rho, self.factor, self.rho,
+                             self.w * _times_a_rho(self.a_rho, self.factor, self.rho, x))
+                + self.dd * x)
 
     def _apply_c(self, x):
         """C x by blocks: C = [[M, rho I], [rho I, 0]] with M = U' W U."""
@@ -349,7 +420,8 @@ class _NewtonSystem:
             x = self._checked_woodbury(r)
             if x is not None:
                 return x
-            self.dense = _dense_newton_factor(self.a_rho, self.w, self.dd)
+            self.dense = _dense_newton_factor(_dense_a_rho(self.a_rho, self.factor, self.rho),
+                                              self.w, self.dd)
         return linalg.spd_solve(self.dense, r)
 
 
@@ -372,8 +444,8 @@ def solve(problem: LpProblem) -> LpSolution:
 def solve_grid(problem: LpProblem, lambdas) -> list:
     """:func:`solve` at every lambda of ``lambdas`` (``problem.lam`` is not used).
 
-    A_rho, its Cholesky factor and the starting point beta0 = A_rho^{-1} b do
-    not depend on lambda and are built once. The members then run one
+    A_rho and the starting point beta0 = A_rho^{-1} b (:meth:`StandardFormLp.solve_a`)
+    do not depend on lambda and are built once. The members then run one
     interior-point iteration loop together, a few at a time so that their
     Newton systems stay within _GROUP_BYTES; each member is bit-identical to
     :func:`solve` at its lambda. Entry j is that LpSolution, or the
@@ -383,17 +455,17 @@ def solve_grid(problem: LpProblem, lambdas) -> list:
     if np.any(lams < 0):
         raise ValueError("lam must be >= 0")
     sf = build_lp(problem)
-    factor = problem.factor
-    if factor is not None and not _low_rank(sf.p, factor.shape[1]):
+    factor = sf.factor
+    if factor is not None and not thin_factor(sf.p, factor.shape[1]):
         factor = None
     results: list = [None] * lams.size
     try:
-        beta0 = linalg.spd_solve(linalg.spd_factor(sf.a_rho), sf.b)
+        beta0 = sf.solve_a(sf.b)
     except NotPositiveDefinite as exc:
         if problem.ridge_rho > 0 and np.any(lams > 0):
             raise
-        beta0 = linalg.pseudo_inverse(sf.a_rho) @ sf.b
-        resid = float(np.abs(sf.a_rho @ beta0 - sf.b).max())
+        beta0 = linalg.pseudo_inverse(sf.dense()) @ sf.b
+        resid = float(np.abs(sf.times_a(beta0) - sf.b).max())
         for j, lam in enumerate(lams.tolist()):
             if lam == 0.0:
                 # the feasible set is the single point A_rho^{-1} b
@@ -472,9 +544,9 @@ def _ipm_work(p, k) -> int:
     """The work of an interior-point solve of _IPM_ITERATIONS iterations, each
     with its calls, some 13 products with the p x p A_rho, and the Newton step:
     Woodbury's O(p k^2) products with a k-column factor when 2k < p
-    (:func:`_low_rank`), else the dense Newton matrix's assembly and Cholesky
+    (:func:`thin_factor`), else the dense Newton matrix's assembly and Cholesky
     factor, which run at BLAS-3 speed."""
-    newton = 4 * p * k * k // 5 if _low_rank(p, k) else p * p * p // 6
+    newton = 4 * p * k * k // 5 if thin_factor(p, k) else p * p * p // 6
     return _IPM_ITERATIONS * (4 * _CALL_WORK + 13 * p * p + newton)
 
 
@@ -492,7 +564,7 @@ def _certify(sf: StandardFormLp, beta, y, lam, pivots):
     sol.duality_gap = ((sol.objective + float(sf.b @ y) + lam * float(np.abs(y).sum()))
                        / (1.0 + sol.objective))
     if (sol.max_residual <= lam * (1 + 1e-6) + 1e-8
-            and float(np.abs(sf.a_rho @ y).max()) <= 1.0 + FEAS_TOL
+            and float(np.abs(sf.times_a(y)).max()) <= 1.0 + FEAS_TOL
             and sol.duality_gap <= GAP_TOL):
         return sol
     return None
@@ -508,7 +580,7 @@ def _trace_path(sf: StandardFormLp, lams, budget) -> dict:
     clock, so the same input stops at the same lambda.
     """
     out: dict = {}
-    block = _ActiveBlock(sf.a_rho, sf.b)
+    block = _ActiveBlock(sf)
     lam_cur, pivots, work, k = np.inf, 0, 0, 0
     # A ratio divides by slopes and pivots that may be 0; those entries are masked out.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -552,16 +624,17 @@ class _ActiveBlock:
     or deletion (J and I each lose one; the last position moves into the
     freed one). The inverse and the rows A_rho[J] and A_rho[I] (A_rho is
     symmetric) live in buffers that grow by doubling, so a pivot copies O(p)
-    entries of A_rho, not O(|J| p).
+    entries of A_rho, not O(|J| p). Each row comes from
+    :meth:`StandardFormLp.row`, so the block never needs A_rho whole.
 
     On a segment M beta_I = b_J + lambda sigma and M' y_J = -s, so beta_I =
     beta0 + lambda beta1, y_J is constant, and A_rho beta - b = r0 + lambda r1;
     :meth:`solve_segment` computes these and v = A_rho y.
     """
 
-    def __init__(self, a, b):
-        p = b.size
-        self.a, self.b, self.n = a, b, 0
+    def __init__(self, sf: StandardFormLp):
+        p = sf.p
+        self.sf, self.b, self.n = sf, sf.b, 0
         self._rows, self._cols = np.empty(p, dtype=int), np.empty(p, dtype=int)
         self._sigma, self._s = np.empty(p), np.empty(p)
         self.in_rows = np.zeros(p, dtype=bool)
@@ -623,10 +696,11 @@ class _ActiveBlock:
             w = d @ self.a_rows
             outside[self.cols[index]] = True  # it may come back with the other sign
         else:  # constraint `index` reaches lambda * sign and joins J
-            g = self.a[index, self.cols] @ self.inv
+            row = self.sf.row(index)
+            g = row[self.cols] @ self.inv
             d = -sign * g
             w = d @ self.a_rows
-            w += sign * self.a[index]
+            w += sign * row
         entering = _dual_ratio(self.y, d, self.v, w, outside)
         if entering is None:
             return False
@@ -636,9 +710,9 @@ class _ActiveBlock:
         elif kind == "col":
             self._replace_col(index, which, -np.sign(w[which]), self.a_rows[:, which])
         elif what == "row":
-            self._replace_row(which, index, sign, g)
+            self._replace_row(which, index, sign, g, row)
         else:
-            self._border(index, sign, g, which, -np.sign(w[which]), self.a_rows[:, which])
+            self._border(index, sign, g, which, -np.sign(w[which]), self.a_rows[:, which], row)
         return True
 
     def _delete(self, a_pos, c_pos):
@@ -666,12 +740,12 @@ class _ActiveBlock:
             self.in_cols[self._cols[c_pos]] = False
             self.in_cols[m] = True
             self._cols[c_pos] = m
-            self._a_cols[c_pos] = self.a[m]
+            self._a_cols[c_pos] = self.sf.row(m)
         self._s[c_pos] = s_m
 
-    def _replace_row(self, a_pos, k, sigma_k, g):
+    def _replace_row(self, a_pos, k, sigma_k, g, row):
         """Row a_pos of M becomes A_rho[k, I]: with g = A_rho[k, I] B, column a of
-        B' is B[:, a] / g[a] and B' = B - B[:, a] g / g[a] elsewhere."""
+        B' is B[:, a] / g[a] and B' = B - B[:, a] g / g[a] elsewhere. ``row`` is A_rho[k]."""
         inv = self.inv
         col = inv[:, a_pos] / g[a_pos]
         inv -= col[:, None] * g
@@ -680,24 +754,24 @@ class _ActiveBlock:
         self.in_rows[k] = True
         self._rows[a_pos] = k
         self._sigma[a_pos] = sigma_k
-        self._a_rows[a_pos] = self.a[k]
+        self._a_rows[a_pos] = row
 
-    def _border(self, k, sigma_k, g, m, s_m, u):
+    def _border(self, k, sigma_k, g, m, s_m, u, row):
         """M gains row k and column m: with u = A_rho[J, m], z = B u, g = A_rho[k, I] B
         and delta = A_rho[k, m] - g u, B' = [[B + z g / delta, -z / delta],
-        [-g / delta, 1 / delta]]."""
+        [-g / delta, 1 / delta]]. ``row`` is A_rho[k]."""
         n = self.n
         self._reserve(n + 1)
         inv = self.inv
         z = inv @ u
-        delta = self.a[k, m] - g @ u
+        delta = row[m] - g @ u
         inv += z[:, None] * (g / delta)
         self._inv[:n, n] = -z / delta
         self._inv[n, :n] = -g / delta
         self._inv[n, n] = 1.0 / delta
         self.in_rows[k] = self.in_cols[m] = True
         self._rows[n], self._sigma[n], self._cols[n], self._s[n] = k, sigma_k, m, s_m
-        self._a_rows[n], self._a_cols[n] = self.a[k], self.a[m]
+        self._a_rows[n], self._a_cols[n] = row, self.sf.row(m)
         self.n = n + 1
 
 

@@ -7,6 +7,7 @@ Sigma = (n1 Sigma_X + n2 Sigma_Y) / (n1 + n2).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -82,21 +83,44 @@ class LabeledDataset:
 class TwoSampleMoments:
     """First and second sample moments of a binary dataset.
 
-    ``factor`` is the p x n centred-data factor U with sigma_hat = U U'.
+    ``centred`` holds the within-class centred rows (n x p), class 1's first.
+    The p x n centred-data factor U = centred' / sqrt(n), with sigma_hat =
+    U U' up to rounding, and sigma_hat itself are built from them on first
+    use and then kept: an LPD fit on wide data (2n < p) at a ridge rho > 0
+    goes through U alone and never forms sigma_hat, and one with 2n >= p
+    needs no U (:func:`lpd.classifier.lpd_problem`).
     """
 
     mean1: np.ndarray
     mean2: np.ndarray
     delta_hat: np.ndarray
     mu_hat: np.ndarray
-    sigma_hat: np.ndarray
     n1: int
     n2: int
-    factor: np.ndarray
+    centred: np.ndarray
 
     @property
     def p(self) -> int:
         return self.delta_hat.size
+
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        """U = centred' / sqrt(n), p x n."""
+        return (self.centred / math.sqrt(self.n1 + self.n2)).T
+
+    @functools.cached_property
+    def sigma_hat(self) -> np.ndarray:
+        """The pooled covariance, summed and scaled in one p x p buffer.
+
+        Each class's product ``centered.T @ centered`` goes through BLAS's
+        syrk, which fills one triangle and mirrors it, so Sigma is exactly
+        symmetric as it stands.
+        """
+        sigma = np.zeros((self.p, self.p))
+        for centered in (self.centred[: self.n1], self.centred[self.n1 :]):
+            sigma += centered.T @ centered
+        sigma /= self.n1 + self.n2
+        return sigma
 
 
 def _require_binary(data):
@@ -138,38 +162,25 @@ def pooled_variances(data):
 
 
 def compute_moments(data) -> TwoSampleMoments:
-    """Means, mean difference, midpoint, pooled covariance and its factor for classes {1, 2}.
+    """Means, mean difference, midpoint and centred rows for classes {1, 2}.
 
     Sigma = (1/n) * sum_k sum_{i in class k} (x_i - mean_k)(x_i - mean_k)'.
     The factor U = Xc' / sqrt(n) stacks the within-class centred rows as
-    columns (p x n), so Sigma = U U' up to rounding.
-
-    Sigma is summed and scaled in one p x p buffer, beside one class's
-    product at a time. Each product ``centered.T @ centered`` goes through
-    BLAS's syrk, which fills one triangle and mirrors it, so Sigma is exactly
-    symmetric as it stands.
+    columns (p x n), so Sigma = U U' up to rounding. Neither is formed
+    here: ``factor`` and ``sigma_hat`` are built on first use.
     """
     _require_binary(data)
     means = class_means(data)
-    sigma = np.zeros((data.p, data.p))
-    blocks = []
-    for k, mean in means.items():
-        centered = data.features[data.class_rows(k)] - mean
-        sigma += centered.T @ centered
-        blocks.append(centered)
-    sigma /= data.n
-    centred = np.vstack(blocks)
-    centred /= math.sqrt(data.n)
+    centred = np.vstack([data.features[data.class_rows(k)] - mean for k, mean in means.items()])
     mean1, mean2 = means[1], means[2]
     return TwoSampleMoments(
         mean1=mean1,
         mean2=mean2,
         delta_hat=mean1 - mean2,
         mu_hat=0.5 * (mean1 + mean2),
-        sigma_hat=sigma,
         n1=int(data.class_rows(1).size),
         n2=int(data.class_rows(2).size),
-        factor=centred.T,
+        centred=centred,
     )
 
 
