@@ -1,4 +1,4 @@
-"""The parametric-simplex path against the batched interior-point grid, at paper scale.
+"""The parametric-simplex path against the interior-point method on a whole grid, at paper scale.
 
     python3 bench/path.py                    # writes BENCH_14_path.json at the repo root
     python3 bench/path.py --quick --out /tmp/path.json

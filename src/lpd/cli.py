@@ -81,8 +81,8 @@ def _reader(args):
 
 def _positive_float(text):
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
@@ -90,8 +90,8 @@ def _rho_value(text):
     if text == "auto":
         return None
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("rho must be >= 0 or 'auto'")
+    if not 0 <= value < np.inf:
+        raise argparse.ArgumentTypeError("rho must be a finite number >= 0 or 'auto'")
     return value
 
 

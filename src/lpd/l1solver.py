@@ -30,9 +30,9 @@ its products cost O(p k), its rows are formed one at a time, and the start
 point A_rho^{-1} b comes from a k x k Cholesky factor by Woodbury. Only a
 dense Newton fallback still forms A_rho, for that iteration.
 
-solve_grid solves the program at every lambda of a grid as one batch: the
-start point is shared, and the members' iterations run in step on stacked
-arrays, each member bit-identical to solve at its lambda.
+solve_grid solves the program at every lambda of a grid, one interior-point
+solve per lambda from one shared start point; each entry is what solve gives
+at its lambda.
 
 solve_path solves a grid along the program's solution path instead. The
 right-hand side is linear in lambda, so beta is piecewise linear in it; a
@@ -77,8 +77,6 @@ _CHOL_JITTERS = (0.0, 1e-14, 1e-10, 1e-6)
 # of iterative refinement.
 _WOODBURY_RTOL = 1e-10
 _REFINE_STEPS = 3
-# solve_grid keeps at most this many bytes of Newton systems alive at once.
-_GROUP_BYTES = 2 << 20
 # solve_path re-inverts its active block afresh every _REFACTOR_PIVOTS
 # pivots. Its ratio tests take no pivot of magnitude <= _PIVOT_TOL, and may
 # overstep a bound by _BOUND_TOL.
@@ -141,10 +139,10 @@ class LpProblem:
             )
         self.lam = float(self.lam)
         self.ridge_rho = float(self.ridge_rho)
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.ridge_rho < 0:
-            raise ValueError("ridge_rho must be >= 0")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be >= 0 and finite")
+        if not 0 <= self.ridge_rho < np.inf:
+            raise ValueError("ridge_rho must be >= 0 and finite")
         if self.factor is not None:
             self.factor = linalg.as_matrix(self.factor, "factor")
             if self.factor.shape[0] != self.b.size:
@@ -209,20 +207,14 @@ class StandardFormLp:
         return 4 * self.p
 
     def rhs(self, lam) -> np.ndarray:
-        """The right-hand side at a scalar ``lam``, or one row per entry of an array ``lam``."""
-        lam = np.asarray(lam, dtype=float)[..., None]
-        zeros = np.zeros(lam.shape[:-1] + (2 * self.p,))
-        return np.concatenate([zeros, lam - self.b, lam + self.b], axis=-1)
+        """The right-hand side at ``lam``."""
+        return np.concatenate([np.zeros(2 * self.p), lam - self.b, lam + self.b])
 
     def times_a(self, x) -> np.ndarray:
-        """A_rho @ x for a vector, or for each row of a matrix. Row by row: one
-        matrix product over all rows would round differently from the vector case."""
-        if x.ndim == 1:
-            return _times_a_rho(self.a_rho, self.factor, self.rho, x)
-        out = np.empty_like(x)
-        for row, target in zip(x, out):
-            target[:] = _times_a_rho(self.a_rho, self.factor, self.rho, row)
-        return out
+        """A_rho @ x: dense, or U (U' x) + rho x on the low-rank route, O(p k)."""
+        if self.a_rho is None:
+            return self.factor @ (self.factor.T @ x) + self.rho * x
+        return self.a_rho @ x
 
     def row(self, k) -> np.ndarray:
         """Row k of A_rho: a view of a dense A_rho, else U U[k] + rho e_k, O(p k)."""
@@ -244,20 +236,23 @@ class StandardFormLp:
 
     def dense(self) -> np.ndarray:
         """A_rho as a p x p array: formed from the factor on the low-rank route."""
-        return _dense_a_rho(self.a_rho, self.factor, self.rho)
+        if self.a_rho is not None:
+            return self.a_rho
+        dense = self.factor @ self.factor.T
+        _diagonal(dense)[:] += self.rho
+        return dense
 
     def apply_g(self, beta, u, ab=None) -> np.ndarray:
-        """G @ (beta, u) without materializing G, for one point or one per row;
-        ``ab`` is A_rho @ beta if the caller already has it."""
+        """G @ (beta, u) without materializing G; ``ab`` is A_rho @ beta if the
+        caller already has it."""
         if ab is None:
             ab = self.times_a(beta)
-        return np.concatenate([-beta - u, beta - u, -ab, ab], axis=-1)
+        return np.concatenate([-beta - u, beta - u, -ab, ab])
 
     def apply_gt(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """G' @ z, returned as its (beta, u) blocks, for one z or one per row."""
-        blocks = z.reshape(z.shape[:-1] + (4, self.p))
-        z1, z2 = blocks[..., 0, :], blocks[..., 1, :]
-        return z2 - z1 + self.times_a(blocks[..., 3, :] - blocks[..., 2, :]), -(z1 + z2)
+        """G' @ z, returned as its (beta, u) blocks."""
+        z1, z2, z3, z4 = z.reshape(4, self.p)
+        return z2 - z1 + self.times_a(z4 - z3), -(z1 + z2)
 
 
 def build_lp(problem: LpProblem) -> StandardFormLp:
@@ -276,29 +271,14 @@ def low_rank_route(p: int, k: int, ridge_rho: float) -> bool:
     return ridge_rho > 0 and thin_factor(p, k)
 
 
-def _times_a_rho(a_rho, factor, rho, x):
-    """A_rho @ x for a vector x: dense, or U (U' x) + rho x where a_rho is None."""
-    if a_rho is None:
-        return factor @ (factor.T @ x) + rho * x
-    return a_rho @ x
-
-
-def _dense_a_rho(a_rho, factor, rho):
-    """A_rho as given, or U U' + rho I formed where a_rho is None."""
-    if a_rho is not None:
-        return a_rho
-    dense = factor @ factor.T
-    _diagonal(dense)[:] += rho
-    return dense
-
-
 def _diagonal(square):
     """Writable strided view of the diagonal of a C-contiguous square array."""
     return square.reshape(-1)[:: square.shape[0] + 1]
 
 
 def _step_lengths(v, dv):
-    """For each row of v > 0, the largest alpha in [0, 1] keeping v + alpha * dv >= 0.
+    """The largest alpha in [0, 1] keeping v + alpha * dv >= 0 for v > 0, one per
+    row of v: the interior-point method's rows are the slacks and the duals.
 
     That is min(1, min over dv_i < 0 of -v_i / dv_i), taken as minus the largest
     v_i / dv_i. The other entries divide by NaN, which the NaN-skipping fmax and
@@ -349,27 +329,27 @@ class _NewtonSystem:
     """H = A_rho diag(w) A_rho + diag(dd), the reduced Newton matrix of one iteration.
 
     Without a factor, H is assembled densely and Cholesky-factored. With a
-    factor U (A_rho = U U' + rho I), H = G + V C V' where G = rho^2 diag(w) +
-    diag(dd), V = [U, W U] and C = [[U' W U, rho I], [rho I, 0]], and
-    H^{-1} r = G^{-1} r - G^{-1} V K^{-1} C V' G^{-1} r through the LU of the
-    2k x 2k capacitance matrix K = I + C V' G^{-1} V. Each such solve is
-    checked against H, applied through ``a_rho`` (or through U where
-    ``a_rho`` is None), and refined; if it still fails, the dense factor is
-    built, A_rho formed for it where it is not held, and used for the rest of
-    the iteration.
+    factor U (A_rho = U U' + rho I, rho the program's ridge), H = G + V C V'
+    where G = rho^2 diag(w) + diag(dd), V = [U, W U] and C = [[U' W U, rho I],
+    [rho I, 0]], and H^{-1} r = G^{-1} r - G^{-1} V K^{-1} C V' G^{-1} r
+    through the LU of the 2k x 2k capacitance matrix K = I + C V' G^{-1} V.
+    Each such solve is checked against H, applied through
+    :meth:`StandardFormLp.times_a`, and refined; if it still fails, the dense
+    factor is built from :meth:`StandardFormLp.dense` and used for the rest
+    of the iteration.
     """
 
-    def __init__(self, a_rho, w, dd, factor=None, rho=0.0):
-        self.a_rho, self.w, self.dd = a_rho, w, dd
-        self.factor, self.rho = factor, rho
+    def __init__(self, sf: StandardFormLp, w, dd, factor=None):
+        self.sf, self.w, self.dd = sf, w, dd
+        self.factor, self.rho = factor, sf.rho
         self.low_rank = factor is not None
         self.dense = None
         self.lu = None
         if factor is None:
-            self.dense = _dense_newton_factor(a_rho, w, dd)
+            self.dense = _dense_newton_factor(sf.dense(), w, dd)
             return
         self.k = factor.shape[1]
-        self.g = rho * rho * w + dd
+        self.g = self.rho * self.rho * w + dd
         if not np.all(self.g > 0):
             return
         self.v = np.hstack([factor, w[:, None] * factor])
@@ -387,9 +367,7 @@ class _NewtonSystem:
 
     def apply(self, x):
         """H x, through A_rho."""
-        return (_times_a_rho(self.a_rho, self.factor, self.rho,
-                             self.w * _times_a_rho(self.a_rho, self.factor, self.rho, x))
-                + self.dd * x)
+        return self.sf.times_a(self.w * self.sf.times_a(x)) + self.dd * x
 
     def _apply_c(self, x):
         """C x by blocks: C = [[M, rho I], [rho I, 0]] with M = U' W U."""
@@ -420,8 +398,7 @@ class _NewtonSystem:
             x = self._checked_woodbury(r)
             if x is not None:
                 return x
-            self.dense = _dense_newton_factor(_dense_a_rho(self.a_rho, self.factor, self.rho),
-                                              self.w, self.dd)
+            self.dense = _dense_newton_factor(self.sf.dense(), self.w, self.dd)
         return linalg.spd_solve(self.dense, r)
 
 
@@ -433,7 +410,7 @@ def solve(problem: LpProblem) -> LpSolution:
     below GAP_TOL, and the constraint residual certifies
     ||A_rho beta - b||_inf <= lam * (1 + 1e-6) + 1e-8. Raises
     InfeasibleProblem when ridge_rho = 0, A is singular, and the least-norm
-    residual exceeds lam. The batch of one of :func:`solve_grid`.
+    residual exceeds lam. It is :func:`solve_grid` at the one lambda ``lam``.
     """
     result = solve_grid(problem, [problem.lam])[0]
     if isinstance(result, SolverError):
@@ -445,15 +422,11 @@ def solve_grid(problem: LpProblem, lambdas) -> list:
     """:func:`solve` at every lambda of ``lambdas`` (``problem.lam`` is not used).
 
     A_rho and the starting point beta0 = A_rho^{-1} b (:meth:`StandardFormLp.solve_a`)
-    do not depend on lambda and are built once. The members then run one
-    interior-point iteration loop together, a few at a time so that their
-    Newton systems stay within _GROUP_BYTES; each member is bit-identical to
-    :func:`solve` at its lambda. Entry j is that LpSolution, or the
-    SolverError :func:`solve` would raise at lambdas[j].
+    do not depend on lambda and are built once; then each lambda > 0 gets its
+    own interior-point solve, in grid order. Entry j is that LpSolution, or
+    the SolverError :func:`solve` would raise at lambdas[j].
     """
-    lams = np.asarray(lambdas, dtype=float).reshape(-1)
-    if np.any(lams < 0):
-        raise ValueError("lam must be >= 0")
+    lams = _grid(lambdas)
     sf = build_lp(problem)
     factor = sf.factor
     if factor is not None and not thin_factor(sf.p, factor.shape[1]):
@@ -479,22 +452,18 @@ def solve_grid(problem: LpProblem, lambdas) -> list:
     else:
         for j in np.flatnonzero(lams == 0.0):  # no interior to walk
             results[j] = _solution(sf, beta0, 0, 0.0, OPTIMAL)
-    members = [j for j, result in enumerate(results) if result is None]
-    size = _group_size(sf.p, factor)
-    for start in range(0, len(members), size):
-        group = members[start : start + size]
-        for j, sol in zip(group, _interior_point(sf, beta0, lams[group], factor,
-                                                  problem.ridge_rho)):
-            results[j] = sol
+    for j, lam in enumerate(lams.tolist()):
+        if results[j] is None:
+            results[j] = _interior_point(sf, beta0, lam, factor)
     return results
 
 
-def _group_size(p: int, factor) -> int:
-    """How many members iterate together: their Newton systems (a p x p factor,
-    or V = [U, W U] and the capacitance LU) fit in _GROUP_BYTES."""
-    k = 0 if factor is None else factor.shape[1]
-    floats = p * p if factor is None else 2 * p * k + 5 * k * k
-    return max(1, _GROUP_BYTES // (8 * floats))
+def _grid(lambdas) -> np.ndarray:
+    """``lambdas`` as a flat float array; raises ValueError unless each is >= 0 and finite."""
+    lams = np.asarray(lambdas, dtype=float).reshape(-1)
+    if not np.all((lams >= 0) & (lams < np.inf)):
+        raise ValueError("lam must be >= 0 and finite")
+    return lams
 
 
 def solve_path(problem: LpProblem, lambdas) -> list:
@@ -515,9 +484,7 @@ def solve_path(problem: LpProblem, lambdas) -> list:
     lambdas[j]. A path entry's ``iterations`` counts the pivots taken to
     reach its lambda.
     """
-    lams = np.asarray(lambdas, dtype=float).reshape(-1)
-    if np.any(lams < 0):
-        raise ValueError("lam must be >= 0")
+    lams = _grid(lambdas)
     sf = build_lp(problem)
     k = sf.p if problem.factor is None else problem.factor.shape[1]
     traced = _trace_path(sf, sorted(set(lams[lams > 0].tolist()), reverse=True),
@@ -818,118 +785,85 @@ def _dual_ratio(y, d, v, w, outside):
     return ("row", j) if j < y.size else ("col", j - y.size)
 
 
-def _interior_point(sf: StandardFormLp, beta0, lams, factor, rho) -> list:
-    """Mehrotra predictor-corrector iterations from beta0, one member per lambda > 0.
+def _interior_point(sf: StandardFormLp, beta0, lam, factor) -> LpSolution:
+    """Mehrotra predictor-corrector iterations from beta0 at one lambda > 0.
 
-    Every array holds one row per member still running. The iterate updates,
-    residuals and step lengths act on all rows at once; products with A_rho,
-    dot products and the Newton systems are taken member by member, so each
-    member rounds exactly as it would alone. A member leaves when it
-    certifies or fails.
+    ``factor`` is the thin factor of the Woodbury Newton step, or None for the
+    dense one (:class:`_NewtonSystem`). The solve is ``optimal`` when an
+    iterate certifies, a ``numerical_failure`` when a Newton factor fails or
+    both step lengths fall below 1e-10, and at ``iteration_limit`` after
+    MAX_ITER iterations.
     """
     p = sf.p
     m = sf.n_constraints
-    out = [None] * lams.size
-    ids = np.arange(lams.size)
-    beta = np.tile(beta0, (lams.size, 1))
+    low_rank = factor is not None
+    beta = beta0.copy()
     u = np.abs(beta) + 1.0
-    h = sf.rhs(lams)
-    # per member, slacks s and duals z are the rows of one (2, m) block, so one pass
+    h = sf.rhs(lam)
+    # the slacks s and the duals z are the rows of one (2, m) block, so one pass
     # finds both step lengths
-    sz = np.empty((lams.size, 2, m))
-    sz[:, 0] = np.maximum(h - sf.apply_g(beta, u), 1e-10 * (1.0 + lams)[:, None])
-    sz[:, 1] = 1.0
-    h_scale = 1.0 + np.abs(h).max(axis=1)
-    resid_cert = lams * (1 + 1e-6) + 1e-8
-    fallbacks = np.zeros(lams.size, dtype=int)
-
-    def finish(leaving, iterations, status, gap_rel):
-        for i in np.flatnonzero(leaving):
-            out[ids[i]] = _solution(sf, beta[i], iterations, float(gap_rel[i]), status,
-                                    factor is not None, int(fallbacks[i]))
+    sz = np.empty((2, m))
+    sz[0] = np.maximum(h - sf.apply_g(beta, u), 1e-10 * (1.0 + lam))
+    sz[1] = 1.0
+    h_scale = 1.0 + np.abs(h).max()
+    resid_cert = lam * (1 + 1e-6) + 1e-8
+    fallbacks = 0
 
     for iterations in range(MAX_ITER):
-        s, z = sz[:, 0], sz[:, 1]
+        s, z = sz
         ab = sf.times_a(beta)
         rp = sf.apply_g(beta, u, ab) + s - h
         rd_beta, gt_u = sf.apply_gt(z)
         rd_u = 1.0 + gt_u  # c = (0, 1)
-        comp = [float(si @ zi) for si, zi in zip(s, z)]
-        gap_rel = np.array(comp) / (1.0 + np.abs(u.sum(axis=1)))
-        done = (
-            (gap_rel <= GAP_TOL)
-            & (np.abs(rp).max(axis=1) / h_scale <= FEAS_TOL)
-            & (np.maximum(np.abs(rd_beta).max(axis=1), np.abs(rd_u).max(axis=1)) / 2.0
-               <= FEAS_TOL)
-            & (np.abs(ab - sf.b).max(axis=1) <= resid_cert)
-        )
-        # Certified members take no Newton step, nor do members whose Newton system failed.
-        failed = np.zeros(ids.size, dtype=bool)
-
-        def stepping():
-            return np.flatnonzero(~(done | failed))
+        comp = float(s @ z)
+        gap_rel = float(comp / (1.0 + np.abs(u.sum())))
+        if (gap_rel <= GAP_TOL
+                and np.abs(rp).max() / h_scale <= FEAS_TOL
+                and np.maximum(np.abs(rd_beta).max(), np.abs(rd_u).max()) / 2.0 <= FEAS_TOL
+                and np.abs(ab - sf.b).max() <= resid_cert):
+            return _solution(sf, beta, iterations, gap_rel, OPTIMAL, low_rank, fallbacks)
 
         d = z / s
-        d1, d2, d3, d4 = (d.reshape(-1, 4, p)[:, k] for k in range(4))
+        d1, d2, d3, d4 = d.reshape(4, p)
         e = d1 + d2
         f = d1 - d2
         f_e = f / e
         sz_prod = s * z
         d_rp = d * rp
         neg_s, neg_rp, neg_rd_beta, neg_rd_u = -s, -rp, -rd_beta, -rd_u
-        w, dd = d3 + d4, 4.0 * d1 * d2 / e
-        newtons = [None] * ids.size
-        for i in stepping():
-            try:
-                newtons[i] = _NewtonSystem(sf.a_rho, w[i], dd[i], factor, rho)
-            except NotPositiveDefinite:  # the dense factor
-                failed[i] = True
 
         def newton_step(rcomp):
-            """Directions (dbeta, du) and the stacked (ds, dz); zero dbeta where no step."""
+            """Directions dbeta, du and the stacked (ds, dz)."""
             gt_t_beta, gt_t_u = sf.apply_gt(d_rp - rcomp / s)
             r2 = neg_rd_u - gt_t_u
-            rhs = neg_rd_beta - gt_t_beta - f_e * r2
-            dbeta = np.zeros_like(rhs)
-            for i in stepping():
-                try:
-                    dbeta[i] = newtons[i].solve(rhs[i])
-                except NotPositiveDefinite:  # the dense factor, as a fallback
-                    failed[i] = True
+            dbeta = newton.solve(neg_rd_beta - gt_t_beta - f_e * r2)
             du = (r2 - f * dbeta) / e
-            dsz = np.empty((ids.size, 2, m))
-            np.subtract(neg_rp, sf.apply_g(dbeta, du), out=dsz[:, 0])  # ds = -rp - G (dbeta, du)
-            np.divide(rcomp + z * dsz[:, 0], neg_s, out=dsz[:, 1])  # dz = -(rcomp + z ds) / s
+            dsz = np.empty((2, m))
+            np.subtract(neg_rp, sf.apply_g(dbeta, du), out=dsz[0])  # ds = -rp - G (dbeta, du)
+            np.divide(rcomp + z * dsz[0], neg_s, out=dsz[1])  # dz = -(rcomp + z ds) / s
             return dbeta, du, dsz
 
-        _, _, dsz_a = newton_step(sz_prod)
-        trial = sz + _step_lengths(sz, dsz_a)[:, :, None] * dsz_a
-        sigma_mu = np.zeros(ids.size)
-        for i in stepping():  # in Python floats: numpy's power rounds differently
-            mu = comp[i] / m
-            mu_aff = float(trial[i, 0] @ trial[i, 1]) / m
-            sigma_mu[i] = min(1.0, max(0.0, (mu_aff / max(mu, 1e-300)) ** 3)) * mu
-        dbeta, du, dsz = newton_step(sz_prod + dsz_a[:, 0] * dsz_a[:, 1] - sigma_mu[:, None])
-
-        fallbacks += [factor is not None if bad else newton is not None and newton.fell_back
-                      for bad, newton in zip(failed, newtons)]
+        try:
+            newton = _NewtonSystem(sf, d3 + d4, 4.0 * d1 * d2 / e, factor)
+            _, _, dsz_a = newton_step(sz_prod)
+            trial = sz + _step_lengths(sz, dsz_a)[:, None] * dsz_a
+            # in Python floats: numpy's power rounds differently
+            mu = comp / m
+            mu_aff = float(trial[0] @ trial[1]) / m
+            sigma_mu = min(1.0, max(0.0, (mu_aff / max(mu, 1e-300)) ** 3)) * mu
+            dbeta, du, dsz = newton_step(sz_prod + dsz_a[0] * dsz_a[1] - sigma_mu)
+        except NotPositiveDefinite:  # the dense factor; on the low-rank step, one fallback
+            return _solution(sf, beta, iterations, gap_rel, NUMERICAL_FAILURE, low_rank,
+                             fallbacks + low_rank)
+        fallbacks += newton.fell_back
         alphas = _STEP_FRACTION * _step_lengths(sz, dsz)
-        failed |= ~done & (alphas[:, 0] < 1e-10) & (alphas[:, 1] < 1e-10)
-        leaving = done | failed
-        if leaving.any():
-            finish(done, iterations, OPTIMAL, gap_rel)
-            finish(failed, iterations, NUMERICAL_FAILURE, gap_rel)
-            ids, beta, u, sz, h, h_scale, resid_cert, fallbacks, gap_rel, alphas, dbeta, du, dsz = (
-                a[~leaving] for a in (ids, beta, u, sz, h, h_scale, resid_cert, fallbacks, gap_rel,
-                                      alphas, dbeta, du, dsz))
-            if not ids.size:
-                break
-        beta += alphas[:, :1] * dbeta
-        u += alphas[:, :1] * du
-        sz += alphas[:, :, None] * dsz
-    else:
-        finish(np.ones(ids.size, dtype=bool), MAX_ITER, ITERATION_LIMIT, gap_rel)
-    return out
+        if alphas[0] < 1e-10 and alphas[1] < 1e-10:
+            return _solution(sf, beta, iterations, gap_rel, NUMERICAL_FAILURE, low_rank,
+                             fallbacks)
+        beta += alphas[0] * dbeta
+        u += alphas[0] * du
+        sz += alphas[:, None] * dsz
+    return _solution(sf, beta, MAX_ITER, gap_rel, ITERATION_LIMIT, low_rank, fallbacks)
 
 
 def support(solution: LpSolution) -> np.ndarray:

@@ -460,6 +460,25 @@ class TestExitCodes:
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lambda", "nan", "expected a positive finite number, got nan"),
+        ("--lambda", "inf", "expected a positive finite number, got inf"),
+        ("--rho", "nan", "rho must be a finite number >= 0 or 'auto'"),
+        ("--rho", "inf", "rho must be a finite number >= 0 or 'auto'"),
+    ])
+    def test_non_finite_lambda_and_rho_are_usage_errors(self, tmp_path, capsys, flag, value,
+                                                        message):
+        """Rejected before any fit: no solver runs to its iteration limit, and no
+        model is written with a ridge_rho that JSON cannot hold."""
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0))
+        out = tmp_path / "m.json"
+        argv = ["train", "--data", str(data), "--lambda", "0.5", flag, value, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"lpd train: error: argument {flag}: {message}")
+        assert not out.exists()
+
     def test_missing_label_column_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "sep.csv"
         write_separable(data, np.random.default_rng(0), p=3)

@@ -253,6 +253,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             LpProblem(A=np.eye(2), b=np.ones(2), lam=0.1, ridge_rho=-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lambda_and_ridge_rejected(self, bad):
+        with pytest.raises(ValueError, match="lam must be >= 0 and finite"):
+            LpProblem(A=np.eye(2), b=np.ones(2), lam=bad)
+        with pytest.raises(ValueError, match="ridge_rho must be >= 0 and finite"):
+            LpProblem(A=np.eye(2), b=np.ones(2), lam=0.1, ridge_rho=bad)
+
     def test_fit_failure_has_informative_message(self, monkeypatch):
         from lpd.classifier import fit_lpd_from_moments
         from lpd.stats import LabeledDataset, compute_moments
@@ -408,7 +415,7 @@ print(repr(float(grid[j])), " ".join(m.status for m in members))
 ])
 def test_desk_stall_is_the_same_inside_its_grid(seed, rep, j, lam):
     """Solved with its whole 20-point grid, the TestDeskStalls lambda still stops at the
-    iteration limit, and every other member certifies: the batch changes no member."""
+    iteration limit, and every other member certifies, as each does alone."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     src = str(Path(lpd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

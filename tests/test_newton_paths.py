@@ -139,12 +139,12 @@ class TestFallback:
     @staticmethod
     def system(spread, seed=0, p=40, n=8):
         """A Newton system whose diagonal scalings span 10**spread, as in late iterations."""
-        sigma, factor, _, rho = wide_sample(seed, p, n)
+        sigma, factor, b, rho = wide_sample(seed, p, n)
         rng = np.random.default_rng(seed)
         w = 10.0 ** rng.uniform(-spread / 2, spread / 2, p)
         dd = 10.0 ** rng.uniform(-spread / 2, spread / 2, p)
-        a_rho = sigma + rho * np.eye(p)
-        return l1solver._NewtonSystem(a_rho, w, dd, factor, rho), a_rho, w, dd, rng
+        sf = l1solver.build_lp(LpProblem(A=sigma, b=b, lam=1.0, ridge_rho=rho, factor=factor))
+        return l1solver._NewtonSystem(sf, w, dd, factor), sf.a_rho, w, dd, rng
 
     def test_mild_scaling_stays_on_woodbury(self):
         newton, _, _, _, rng = self.system(spread=2)
@@ -245,8 +245,8 @@ def assert_same_solution(member, single):
 
 
 class TestSolveGrid:
-    """solve_grid runs a lambda grid as one batch; every member is bit-identical to
-    solve at its lambda, however the members are grouped."""
+    """solve_grid solves a lambda grid from one shared start point; every member is
+    bit-identical to solve at its lambda."""
 
     @staticmethod
     @functools.cache
@@ -254,12 +254,9 @@ class TestSolveGrid:
         moments, grid = desk_fold(p, n_per_class, seed=3)
         return moments, grid, [solve(grid_problem(moments, lam)) for lam in grid]
 
-    @pytest.mark.parametrize("group_bytes", [1, l1solver._GROUP_BYTES, 1 << 40])
     @pytest.mark.parametrize("p, n_per_class, low_rank", [(100, 200, False), (300, 30, True)])
-    def test_members_equal_single_solves(self, monkeypatch, p, n_per_class, low_rank,
-                                         group_bytes):
+    def test_members_equal_single_solves(self, p, n_per_class, low_rank):
         moments, grid, singles = self.single_solves(p, n_per_class)
-        monkeypatch.setattr(l1solver, "_GROUP_BYTES", group_bytes)
         members = l1solver.solve_grid(grid_problem(moments), grid)
         assert len(members) == grid.size
         for member, single in zip(members, singles):
@@ -314,6 +311,15 @@ class TestSolveGrid:
         assert l1solver.solve_grid(grid_problem(moments), []) == []
         with pytest.raises(ValueError, match="lam must be >= 0"):
             l1solver.solve_grid(grid_problem(moments), [0.1, -0.1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lambda_is_rejected(self, bad):
+        """A NaN or infinite lambda fails the grid check at once, on both solvers,
+        instead of running the interior-point method to its iteration limit."""
+        moments, grid = desk_fold(20, 30, seed=1)
+        for solver in (l1solver.solve_grid, l1solver.solve_path):
+            with pytest.raises(ValueError, match="lam must be >= 0"):
+                solver(grid_problem(moments), [float(grid[0]), bad])
 
     def test_iteration_limit_member_keeps_its_gap(self, monkeypatch):
         """With a 3-iteration budget every member stops at the limit, and reports the
