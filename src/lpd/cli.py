@@ -86,6 +86,16 @@ def _positive_float(text):
     return value
 
 
+def _seed_value(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return value
+
+
 def _rho_value(text):
     if text == "auto":
         return None
@@ -111,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="constraint radius, or 'auto' to choose by CV")
     train.add_argument("--folds", type=int, default=5)
     train.add_argument("--grid-size", type=int, default=20)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_seed_value, default=0)
     train.add_argument("--rho", type=_rho_value, default="auto",
                        help="ridge perturbation, or 'auto' for sqrt(log p / n)")
     train.add_argument("--indices", default=None,
@@ -133,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--data", required=True)
     cv.add_argument("--grid-size", type=int, default=20)
     cv.add_argument("--folds", type=int, default=5)
-    cv.add_argument("--seed", type=int, default=0)
+    cv.add_argument("--seed", type=_seed_value, default=0)
     cv.add_argument("--out", default=None, help="write CSV here instead of stdout")
     _schema_args(cv)
 
@@ -146,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--rho", type=float, default=None)
     sim.add_argument("--dist", choices=("normal", "t5"), default="normal")
     sim.add_argument("--reps", type=int, default=20)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed_value, default=0)
     sim.add_argument("--methods", default=",".join(METHOD_ORDER),
                      help="comma-separated subset of " + ",".join(METHOD_ORDER))
     sim.add_argument("--folds", type=int, default=5)

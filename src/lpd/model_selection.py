@@ -22,7 +22,11 @@ from .stats import LabeledDataset, TwoSampleMoments, compute_moments
 
 @dataclass
 class CvPlan:
-    """Fold count, candidate lambdas (stored descending), and the shuffle seed."""
+    """Fold count, candidate lambdas (stored descending), and the shuffle seed.
+
+    The seed is a non-negative integer; :func:`make_folds` draws the folds
+    from it as ``numpy.random.default_rng(seed)`` would.
+    """
 
     folds: int
     lambda_grid: np.ndarray
@@ -40,6 +44,8 @@ class CvPlan:
             raise ValueError("lambda_grid must be strictly monotone")
         self.lambda_grid = np.sort(grid)[::-1].copy()
         self.seed = int(self.seed)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -60,11 +66,18 @@ def make_folds(data: LabeledDataset, n_folds: int, seed: int) -> np.ndarray:
     """Per-sample fold ids in 0..n_folds-1, stratified by class.
 
     Each class's indices are shuffled by the seed and split into n_folds
-    near-equal subgroups (sizes differ by at most one).
+    near-equal subgroups (sizes differ by at most one). The classes, in
+    ascending order, are shuffled from one stream: each class's shuffle is
+    the ``permutation`` of its rows that one ``numpy.random.default_rng(seed)``
+    would give in turn. It is drawn in pure Python (:class:`~lpd._pcg.Pcg64`),
+    so `train` and `cv` never load ``numpy.random``. A negative seed raises
+    ValueError.
     """
     if n_folds < 2:
         raise ValueError("n_folds must be >= 2")
-    rng = np.random.default_rng(seed)
+    from ._pcg import Pcg64  # here, so that `predict` and `screen` never load it (0.1 MB)
+
+    stream = Pcg64(seed)
     fold_ids = np.empty(data.n, dtype=int)
     for k in data.classes:
         rows = data.class_rows(k)
@@ -72,8 +85,9 @@ def make_folds(data: LabeledDataset, n_folds: int, seed: int) -> np.ndarray:
             raise TooFewSamplesPerClass(
                 f"class {k} has {rows.size} samples; cannot form {n_folds} folds"
             )
-        shuffled = rng.permutation(rows)
-        for fold, chunk in enumerate(np.array_split(shuffled, n_folds)):
+        shuffled = rows.tolist()
+        stream.shuffle(shuffled)
+        for fold, chunk in enumerate(np.array_split(np.array(shuffled), n_folds)):
             fold_ids[chunk] = fold
     return fold_ids
 

@@ -76,6 +76,8 @@ class SimulationSpec:
             raise ValueError("distribution must be 'normal' or 't5'")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def resolved_rho(self) -> float:
         if self.rho is not None:
@@ -391,10 +393,12 @@ def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size):
     return record
 
 
-def _replication_outcome(spec, methods, streams, cv_folds, grid_size, rep):
+def _replication_outcome(spec, methods, cv_folds, grid_size, rep):
     """Replication ``rep``'s record, or its failure line when it raises an LpdError."""
+    # SeedSequence(spec.seed).spawn(spec.reps)[rep], built in the process that runs it
+    stream = np.random.SeedSequence(spec.seed, spawn_key=(rep,))
     try:
-        return _run_replication(spec, methods, streams[rep], rep, cv_folds, grid_size)
+        return _run_replication(spec, methods, stream, rep, cv_folds, grid_size)
     except LpdError as exc:
         return f"rep {rep}: {exc}"
 
@@ -435,10 +439,13 @@ def run_benchmark(
     refit at the CV-chosen lambda fails.
 
     Bad options raise ValueError before any replication starts (see
-    :func:`check_run_options`). Replications run on independent
-    deterministic RNG streams, on up to ``max_workers`` worker processes
-    (:func:`~lpd.parallel.map_tasks`; each replication's CV runs in its
-    worker), so results do not depend on ``max_workers``. A replication
+    :func:`check_run_options`). Replication ``rep`` draws from
+    ``default_rng(SeedSequence(spec.seed, spawn_key=(rep,)))``, which equals
+    ``SeedSequence(spec.seed).spawn(spec.reps)[rep]``, built in the process
+    that runs it. The replications run on up to ``max_workers`` worker
+    processes (:func:`~lpd.parallel.map_tasks`; each replication's CV runs
+    in its worker), so results do not depend on ``max_workers``, and a
+    caller that forks them never loads ``numpy.random``. A replication
     that raises an :class:`LpdError` fails; any other exception propagates.
     Failed replications are excluded from the averages and counted, never
     silently dropped; ``failures`` lists them in replication order. When
@@ -446,8 +453,7 @@ def run_benchmark(
     """
     methods = check_run_options(methods, cv_folds, grid_size)
 
-    streams = np.random.SeedSequence(spec.seed).spawn(spec.reps)
-    outcomes = map_tasks(_replication_outcome, (spec, methods, streams, cv_folds, grid_size),
+    outcomes = map_tasks(_replication_outcome, (spec, methods, cv_folds, grid_size),
                          spec.reps, max_workers)
     records = [outcome for outcome in outcomes if isinstance(outcome, RepRecord)]
     failures = [outcome for outcome in outcomes if isinstance(outcome, str)]

@@ -599,6 +599,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"lpd simulate: error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "cv", "simulate"])
+    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, command):
+        """Caught by argparse, before any fold is drawn or worker forked."""
+        def no_replication(*args):
+            raise AssertionError("a replication started")
+
+        monkeypatch.setattr(simulation, "_run_replication", no_replication)
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0))
+        out = tmp_path / "out"
+        if command == "simulate":
+            argv = ["simulate", "--model-id", "3", "--p", "10", "--reps", "2"]
+        else:
+            argv = [command, "--data", str(data)]
+        assert main(argv + ["--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"lpd {command}: error: argument --seed: expected a non-negative integer, got -1")
+        assert not out.exists()
+
+    def test_non_integer_seed_is_usage_error(self, capsys):
+        assert main(["cv", "--data", "d.csv", "--seed", "1.5"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "lpd cv: error: argument --seed: invalid int value: '1.5'")
+
     def test_value_error_inside_a_replication_is_not_a_usage_error(self, tmp_path, monkeypatch):
         def broken(*args):
             raise ValueError("broken replication")

@@ -133,3 +133,51 @@ def test_solving_commands_load_no_numpy_ma(tmp_path):
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, (threads, result.stderr)
+
+
+NO_RANDOM_SCRIPT = """
+import os, sys
+from lpd.cli import main
+
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[:2] == ["numpy", "random"] or m in ("secrets", "hashlib"))
+
+
+data, work = sys.argv[1:]
+assert main(["train", "--data", data, "--folds", "2", "--grid-size", "3", "--seed", "3",
+             "--out", work + ".model"]) == 0
+assert loaded() == [], loaded()
+assert main(["cv", "--data", data, "--folds", "2", "--grid-size", "3", "--seed", str(2**64),
+             "--out", work + ".cv"]) == 0
+assert loaded() == [], loaded()
+# a serial simulate draws its replications in this process; forked, only its workers draw
+if os.environ["LPD_THREADS"] == "2" and (os.cpu_count() or 1) >= 2:
+    assert main(["simulate", "--model-id", "3", "--p", "6", "--s0", "2", "--n1", "10",
+                 "--n2", "10", "--reps", "2", "--folds", "2", "--grid-size", "3",
+                 "--out", work + ".sim"]) == 0
+    assert loaded() == [], loaded()
+"""
+
+
+def test_cv_jobs_load_no_numpy_random(tmp_path):
+    """`train --lambda auto` and `cv` draw their folds without `numpy.random`, whose
+    import loads `secrets` and `hashlib` (about 5 MB resident), at LPD_THREADS=1 (the
+    folds fitted in the script's own process) and at 2 (forked). `simulate` forking
+    its replications at LPD_THREADS=2 builds each replication's stream in its worker."""
+    rng = np.random.default_rng(2)
+    rows = [",".join([label] + [repr(float(v)) for v in rng.standard_normal(4) + shift])
+            for label, shift in (("A", 3.0), ("B", 0.0)) for _ in range(10)]
+    data = tmp_path / "train.csv"
+    data.write_text("\n".join(rows) + "\n")
+    src = str(Path(lpd.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, LPD_THREADS=threads, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", NO_RANDOM_SCRIPT, str(data), str(tmp_path / f"work{threads}")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, (threads, result.stderr)

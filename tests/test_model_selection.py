@@ -45,6 +45,66 @@ class TestMakeFolds:
             make_folds(data, 5, seed=0)
 
 
+def numpy_folds(data, n_folds, seed):
+    """make_folds as numpy draws it: one default_rng(seed), permuting each class in turn."""
+    rng = np.random.default_rng(seed)
+    fold_ids = np.empty(data.n, dtype=int)
+    for k in data.classes:
+        for fold, chunk in enumerate(np.array_split(rng.permutation(data.class_rows(k)), n_folds)):
+            fold_ids[chunk] = fold
+    return fold_ids
+
+
+FOLD_SEEDS = list(range(300)) + [2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64,
+                                 2**100 + 5, 2**128 + 7]
+# not powers of two; each side of 2**k, where the shuffle's rejection mask widens
+CLASS_SIZES = [3, 5, 6, 7, 9, 11, 12, 15, 17, 23, 31, 33, 47, 60, 63, 65, 100, 127, 129,
+               255, 257, 600, 1000, 1023, 1025, 2047, 2049, 4095, 4097, 5000]
+
+
+class TestFoldStream:
+    """make_folds draws its shuffle in pure Python (lpd._pcg); its fold ids are
+    numpy's default_rng(seed).permutation of each class, from one stream."""
+
+    def test_make_folds_equals_numpy_permutation(self):
+        sizes = np.random.default_rng(24)
+        for seed in FOLD_SEEDS:
+            counts = sizes.choice(CLASS_SIZES, size=2 + seed % 2)
+            labels = np.repeat(np.arange(1, counts.size + 1), counts)
+            labels = labels[np.random.default_rng(seed % 7).permutation(labels.size)]
+            data = LabeledDataset(np.zeros((labels.size, 1)), labels)
+            folds = 2 + seed % 2  # every class size is at least 3
+            expected = numpy_folds(data, folds, seed).tolist()
+            assert make_folds(data, folds, seed).tolist() == expected, (seed, counts.tolist())
+
+    def test_stream_shuffles_equal_numpy_permutations(self):
+        from lpd._pcg import Pcg64
+
+        for seed in (0, 1, 2**32, 2**64 - 1, 2**100 + 5):
+            rng, stream = np.random.default_rng(seed), Pcg64(seed)
+            for n in (0, 1, 2, 4999, 0, 1, 3, 5000):
+                items = list(range(n))
+                stream.shuffle(items)
+                assert items == rng.permutation(n).tolist(), (seed, n)
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, [2, 0, 2, 2, 0, 2, 1, 0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 2, 1, 2]),
+        (2**64 - 1, [0, 1, 2, 1, 2, 0, 0, 0, 0, 0, 1, 2, 1, 2, 1, 0, 1, 1, 0, 1, 0, 2, 2]),
+    ])
+    def test_pinned_fold_ids(self, seed, expected):
+        """Fixed here, so they hold if a later numpy changes its stream."""
+        labels = [1, 2, 3, 1, 1, 2, 3, 3, 2, 1, 1, 2, 3, 1, 2, 2, 1, 3, 1, 2, 1, 1, 2]
+        data = LabeledDataset(np.zeros((len(labels), 1)), labels)
+        assert make_folds(data, 3, seed).tolist() == expected
+
+    def test_negative_seed_is_value_error(self):
+        data = separable_data(np.random.default_rng(6))
+        with pytest.raises(ValueError, match="non-negative"):
+            make_folds(data, 5, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            CvPlan(folds=5, lambda_grid=[1.0, 0.5], seed=-1)
+
+
 class TestDefaultLambdaGrid:
     def test_geometric_grid_three_points(self):
         data = separable_data(np.random.default_rng(4))

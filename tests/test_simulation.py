@@ -521,3 +521,28 @@ class TestSpecRho:
     def test_model_2_takes_no_rho(self):
         with pytest.raises(ValueError, match="model 2 does not use rho"):
             SimulationSpec(model_id=2, p=10, rho=0.3)
+
+
+class TestSpecSeed:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SimulationSpec(model_id=3, p=10, seed=-1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 2**130 + 1])
+    def test_replication_streams_are_the_spawned_children(self, monkeypatch, seed):
+        """Each replication builds its own stream, equal to SeedSequence(seed).spawn(reps)[rep]."""
+        import lpd.simulation as sim
+        from lpd.errors import SolverFailure
+
+        states = {}
+
+        def record(spec_, methods, seed_seq, rep, *rest):
+            states[rep] = seed_seq.generate_state(4).tolist()
+            raise SolverFailure("recorded")
+
+        monkeypatch.setattr(sim, "_run_replication", record)
+        spec = SimulationSpec(model_id=1, p=10, reps=3, seed=seed)
+        with pytest.raises(SolverFailure, match="all 3 replications failed"):
+            run_benchmark(spec, methods=("naive_bayes",))
+        children = np.random.SeedSequence(seed).spawn(3)
+        assert states == {rep: kid.generate_state(4).tolist() for rep, kid in enumerate(children)}
