@@ -289,9 +289,8 @@ def _cmd_simulate(args):
             reps=args.reps,
             seed=args.seed,
         )
-        methods = check_run_options(
-            [m.strip() for m in args.methods.split(",") if m.strip()], args.folds, args.grid_size
-        )
+        methods = check_run_options(spec, [m.strip() for m in args.methods.split(",") if m.strip()],
+                                    args.folds, args.grid_size)
         max_workers = _max_workers()
     report = run_benchmark(
         spec, methods=methods, cv_folds=args.folds, grid_size=args.grid_size,

@@ -5,8 +5,9 @@ digits, fixed key/column order) and atomic: content is written to a
 temporary file and renamed into place, so failures never leave partial
 output.
 
-Datasets are read by np.loadtxt, and what it does not take by the csv
-module and ``float``, with the same result or error either way. A plain
+Datasets are read by np.loadtxt. A file it does not take, or one that holds
+a non-finite value, is read again by the csv module and ``float``, which
+names the first fault, so every bad file is named one way. A plain
 file (no quote character) of at least two :data:`PIECE_BYTES` is cut at
 line ends into pieces, parsed on forked worker processes
 (:func:`lpd.parallel.map_tasks`) in line-aligned chunks of about
@@ -67,6 +68,8 @@ class DataFileSchema:
     def __post_init__(self):
         if len(self.delimiter) != 1:
             raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
+        if self.delimiter in '"\n\r':
+            raise ValueError(f"delimiter cannot be a quote or a line end, got {self.delimiter!r}")
 
 
 def fmt_float(x) -> str:
@@ -138,11 +141,10 @@ def _read_rows(path, schema: DataFileSchema, label_column, max_workers=1):
     Blank lines are skipped; with ``schema.has_header`` line 1 is the
     header. The first row, header included, fixes the width. The label
     column's stripped text maps to ids 1, 2, ... in first-seen order. A file
-    np.loadtxt does not take goes to :func:`_exact_rows`: it names the error
-    or reads what only ``float`` accepts (``1_0``), rounding alike. A file
-    np.loadtxt reads but for a non-finite value is not parsed again:
-    :func:`_nonfinite_error` names the value. A large plain file is parsed in
-    pieces on up to ``max_workers`` forked workers (:func:`_loadtxt_rows`).
+    np.loadtxt does not take, or that holds a non-finite value, goes to
+    :func:`_exact_rows`: it names the error or reads what only ``float``
+    accepts (``1_0``), rounding alike. A large plain file is parsed in pieces
+    on up to ``max_workers`` forked workers (:func:`_loadtxt_rows`).
     """
     rows = None
     with contextlib.suppress(ValueError, csv.Error):
@@ -152,18 +154,16 @@ def _read_rows(path, schema: DataFileSchema, label_column, max_workers=1):
 
 @dataclass
 class _Plan:
-    """How np.loadtxt reads a file: piece k is bytes ``cuts[k]:cuts[k + 1]``. A
-    ``plain`` file holds no quote or NUL byte. With ``width``, the field count of
-    the file's first nonblank line, every record is a line, piece k holds at
-    most ``lines[k]`` rows and is parsed in line-aligned chunks; without it the
-    file is one piece, parsed whole."""
+    """How np.loadtxt reads a file: piece k is bytes ``cuts[k]:cuts[k + 1]``. With
+    ``width``, the field count of the file's first nonblank line, every record is
+    a line, piece k holds at most ``lines[k]`` rows and is parsed in line-aligned
+    chunks; without it the file is one piece, parsed whole."""
 
     path: str
     schema: DataFileSchema
     label_column: int | None
     cuts: list
     lines: list
-    plain: bool
     width: int | None
 
 
@@ -213,16 +213,7 @@ def _plan(path, schema: DataFileSchema, label_column, max_workers=1):
     lines = np.diff(newlines + [seen])
     lines[0] -= schema.has_header  # line 1, the header, holds no row
     lines[-1] += last != b"\n"  # an unended last line is a row too
-    return _Plan(os.fspath(path), schema, label_column, cuts + [offset], lines.tolist(),
-                 not quoted, width)
-
-
-class _NonFinite(Exception):
-    """A parsed row holds a non-finite value; ``row`` counts the piece's rows before it."""
-
-    def __init__(self, row):
-        super().__init__(row)
-        self.row = row
+    return _Plan(os.fspath(path), schema, label_column, cuts + [offset], lines.tolist(), width)
 
 
 def _walk(plan: _Plan, index, names, check=None):
@@ -232,19 +223,19 @@ def _walk(plan: _Plan, index, names, check=None):
 
     ``check``, if given, is called with each chunk's feature count before any
     of its values is looked at. Then, row block by row block, the chunk's rows
-    are checked for non-finite values (the first raises :class:`_NonFinite`),
-    their label column is read and dropped, and the rest moves forward to
-    follow the rows before. So the features are the front of the parsed
-    array's own buffer, C-contiguous, and the ids, one array per block, number
-    ``names``, the piece's label texts in first-seen order, from 1. Raises
-    ValueError where np.loadtxt rejects a chunk, or a chunk's rows are not as
-    wide as the file's first row.
+    are checked for non-finite values, their label column is read and dropped,
+    and the rest moves forward to follow the rows before. So the features are
+    the front of the parsed array's own buffer, C-contiguous, and the ids, one
+    array per block, number ``names``, the piece's label texts in first-seen
+    order, from 1. Raises ValueError where np.loadtxt rejects a chunk, a
+    chunk's rows are not as wide as the file's first row, or a block holds a
+    non-finite value: then the exact reader names the fault.
     """
     label_column, delimiter = plan.label_column, plan.schema.delimiter
     # Not `usecols`: it accepts a row with an extra field.
     converters = {} if label_column is None else {
         label_column: lambda text: names.setdefault(text.strip(), len(names) + 1)}
-    at, stop, row = plan.cuts[index], plan.cuts[index + 1], 0
+    at, stop = plan.cuts[index], plan.cuts[index + 1]
     # numpy reads the lines of an open file as csv does; given a path it
     # would decompress by file extension and fetch URLs.
     with open(plan.path, "rb") as raw, warnings.catch_warnings():
@@ -278,29 +269,26 @@ def _walk(plan: _Plan, index, names, check=None):
             ids = []
             for first, end in row_blocks(len(rows), width):
                 block = rows[first:end]
-                bad_rows = np.flatnonzero(~np.isfinite(block).all(axis=1))
-                if bad_rows.size:
-                    raise _NonFinite(row + first + int(bad_rows[0]))
+                if not np.isfinite(block).all():
+                    raise ValueError("a non-finite value")
                 if label_column is not None:
                     ids.append(block[:, label_column].astype(int))
                     block = np.delete(block, label_column, axis=1)
                 # Never past this block's own rows. numpy copies a block that overlaps
                 # its target through a temporary, and skips one that is its target.
                 features[first:end] = block
-            row += len(rows)
             yield features, ids
 
 
 class _Piece(NamedTuple):
     """What a piece's task returns: its row count, its label names in first-seen
-    order and their ids per row, its first non-finite row or None, the rows it
-    hands back rather than putting them in its slot or scoring them, and the
-    scores of the rest, one array per product."""
+    order and their ids per row, the rows it hands back rather than putting them
+    in its slot or scoring them, and the scores of the rest, one array per
+    product."""
 
     count: int
     names: tuple = ()
     ids: np.ndarray | None = None
-    bad: int | None = None
     held: np.ndarray | None = None
     scores: tuple = ()
 
@@ -322,17 +310,6 @@ def _slot(slots, index, rows):
     if rows.stop > len(slot):
         raise ValueError(f"piece {index} has more rows than its {len(slot)} lines")
     return slot[rows]
-
-
-def _count_rows(plan: _Plan, pieces):
-    """The row count of the pieces; the first non-finite row, if any, raises its error."""
-    rows = 0
-    for piece in pieces:
-        if piece.bad is not None:
-            raise _nonfinite_error(plan.path, plan.schema, plan.label_column,
-                                   rows + piece.bad, plan.plain)
-        rows += piece.count
-    return rows
 
 
 def _stitch(slots, pieces, rows):
@@ -371,7 +348,7 @@ def _loadtxt_rows(path, schema: DataFileSchema, label_column, max_workers=1):
     else:
         plan = replace(plan, cuts=[0, plan.cuts[-1]], lines=[sum(plan.lines)], width=None)
     pieces = map_tasks(_load_piece, (plan, slots), len(plan.lines), max_workers)
-    rows = _count_rows(plan, pieces)
+    rows = sum(piece.count for piece in pieces)
     if not rows:
         return None
     features = _stitch(slots, pieces, rows)
@@ -391,44 +368,14 @@ def _load_piece(plan: _Plan, slots, index):
     first row of each slot, width) triple), or without slots into its own rows."""
     names: dict[str, int] = {}
     count, ids, rows = 0, [], None
-    try:
-        for features, chunk_ids in _walk(plan, index, names):
-            if slots is None:
-                rows = features
-            else:
-                _slot(slots, index, slice(count, count + len(features)))[:] = features
-            count += len(features)
-            ids += chunk_ids
-    except _NonFinite as exc:
-        return _Piece(count, bad=exc.row)
-    return _Piece(count, tuple(names), np.concatenate(ids) if ids else None, held=rows)
-
-
-def _nonfinite_error(path, schema: DataFileSchema, label_column, index, plain):
-    """The error :func:`_exact_rows` raises when data row ``index`` (0-based) is the
-    first with a non-finite value; the records before it are only counted.
-
-    In a ``plain`` file (no quote or NUL character) a record is a line, and a
-    blank record a bare line ending, so csv splits only the bad line, and any
-    earlier line long enough to hold a field over csv's limit (it raises as
-    the csv walk would). Otherwise csv walks every record.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as handle, _text_errors(path):
-        if plain:
-            records = ((lineno, line) for lineno, line in enumerate(handle, start=1)
-                       if line not in ("\n", "\r\n", "\r"))
+    for features, chunk_ids in _walk(plan, index, names):
+        if slots is None:
+            rows = features
         else:
-            records = ((lineno, row) for lineno, row in
-                       enumerate(csv.reader(handle, delimiter=schema.delimiter), start=1) if row)
-        for lineno, record in records:
-            if schema.has_header and lineno == 1:
-                continue
-            if plain and (index == 0 or len(record) > csv.field_size_limit()):
-                record = next(csv.reader([record], delimiter=schema.delimiter))
-            if index == 0:
-                return _cell_error(path, lineno, record, label_column)
-            index -= 1
-    raise AssertionError(f"{path}: fewer data rows than np.loadtxt read")
+            _slot(slots, index, slice(count, count + len(features)))[:] = features
+        count += len(features)
+        ids += chunk_ids
+    return _Piece(count, tuple(names), np.concatenate(ids) if ids else None, held=rows)
 
 
 def _exact_rows(path, schema: DataFileSchema, label_column):
@@ -492,11 +439,12 @@ def score_rows(path, model: LpdModel, schema: DataFileSchema | None = None, labe
     features of :func:`load_dataset`, under the same rules, errors and
     ``max_workers``. Each piece of the file's :func:`_plan` is one
     :func:`_score_piece` task on :func:`lpd.parallel.map_tasks`, which scores
-    its chunks, lets them go and returns their scores. Rows whose width does
-    not fit ``model`` raise DataError naming the file: in a file np.loadtxt
-    reads, at the first chunk, before any of its values is checked, so that
-    the error does not depend on ``max_workers``; in any other file, read
-    whole by :func:`_exact_rows`, after the read.
+    its chunks, lets them go and returns their scores. A file np.loadtxt does
+    not take, or that holds a non-finite value, is read whole by
+    :func:`_exact_rows`, which names the fault. Rows whose width does not fit
+    ``model`` raise DataError naming the file: in a file np.loadtxt reads, at
+    the first chunk, before any of its values is checked, so that the error
+    does not depend on ``max_workers``; in any other file after the exact read.
 
     The scores are those of ``decision_scores`` on the whole batch, byte for
     byte, at one BLAS thread. There OpenBLAS rounds a row alike in any full
@@ -531,7 +479,7 @@ def _loadtxt_scores(path, schema: DataFileSchema, label_column, model, max_worke
     if plan is None:
         return None
     pieces = map_tasks(_score_piece, (plan, model), len(plan.lines), max_workers)
-    if not _count_rows(plan, pieces):
+    if not any(piece.count for piece in pieces):
         return None
     pieces = [piece for piece in pieces if piece.count]
     tails = classifier.decision_scores(model, np.concatenate([piece.held for piece in pieces]))
@@ -551,13 +499,10 @@ def _score_piece(plan: _Plan, model, index):
     last chunk back whole.
     """
     scores, held = [], None
-    try:
-        for features, _ in _walk(plan, index, {}, lambda p: _check_width(plan.path, model, p)):
-            if held is not None:
-                features = np.concatenate([_score_groups(model, held, scores), features])
-            held = features
-    except _NonFinite as exc:
-        return _Piece(0, bad=exc.row)
+    for features, _ in _walk(plan, index, {}, lambda p: _check_width(plan.path, model, p)):
+        if held is not None:
+            features = np.concatenate([_score_groups(model, held, scores), features])
+        held = features
     if held is None:
         return _Piece(0)
     if len(plan.lines) > 1:

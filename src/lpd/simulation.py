@@ -403,14 +403,18 @@ def _replication_outcome(spec, methods, cv_folds, grid_size, rep):
         return f"rep {rep}: {exc}"
 
 
-def check_run_options(methods, cv_folds, grid_size) -> tuple:
+def check_run_options(spec: SimulationSpec, methods, cv_folds, grid_size) -> tuple:
     """The method names, lower-cased, after checking the options of
     :func:`run_benchmark` that only the replications would otherwise reach.
 
-    Raises ValueError for an unknown method, fewer than 2 folds or a grid of
-    fewer than 2 lambdas.
+    Raises ValueError for no method or an unknown one, fewer than 2 folds, a
+    grid of fewer than 2 lambdas, or, with ``lpd`` among the methods, folds
+    that some class of ``spec`` cannot fill or whose CV training sets would
+    keep fewer than 2 of its rows.
     """
     methods = tuple(m.lower() for m in methods)
+    if not methods:
+        raise ValueError(f"no methods given; choose from {METHOD_ORDER}")
     unknown = sorted(set(methods) - set(METHOD_ORDER))
     if unknown:
         raise ValueError(f"unknown methods: {unknown}; choose from {METHOD_ORDER}")
@@ -418,6 +422,14 @@ def check_run_options(methods, cv_folds, grid_size) -> tuple:
         raise ValueError("folds must be >= 2")
     if grid_size < 2:
         raise ValueError("size must be >= 2")
+    if "lpd" in methods:
+        for name, n in (("n1", spec.n1), ("n2", spec.n2)):
+            kept = n - math.ceil(n / cv_folds)  # the class's rows in its smallest training set
+            if cv_folds > n:
+                raise ValueError(f"lpd's CV cannot form {cv_folds} folds from {name}={n} samples")
+            if kept < 2:
+                raise ValueError(f"lpd's CV with {cv_folds} folds keeps {kept} of {name}={n} "
+                                 "samples in a training set; it needs at least 2")
     return methods
 
 
@@ -451,7 +463,7 @@ def run_benchmark(
     silently dropped; ``failures`` lists them in replication order. When
     every replication fails, :class:`SolverFailure` is raised.
     """
-    methods = check_run_options(methods, cv_folds, grid_size)
+    methods = check_run_options(spec, methods, cv_folds, grid_size)
 
     outcomes = map_tasks(_replication_outcome, (spec, methods, cv_folds, grid_size),
                          spec.reps, max_workers)

@@ -599,6 +599,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"lpd simulate: error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("options, message", [
+        (["--methods", ""], "no methods given; choose from "
+         "('lpd', 'naive_bayes', 'glda', 'ofair', 'oracle')"),
+        (["--n1", "5", "--n2", "5", "--folds", "6"],
+         "lpd's CV cannot form 6 folds from n1=5 samples"),
+        (["--n1", "3", "--n2", "3", "--folds", "2"],
+         "lpd's CV with 2 folds keeps 1 of n1=3 samples in a training set; it needs at least 2"),
+        (["--n1", "40", "--n2", "5", "--folds", "6", "--methods", "oracle,lpd"],
+         "lpd's CV cannot form 6 folds from n2=5 samples"),
+    ])
+    def test_simulate_options_no_replication_can_run_are_usage_errors(
+            self, tmp_path, monkeypatch, capsys, options, message):
+        """Checked before any replication starts, not reported as every replication failing."""
+        def no_replication(*args):
+            raise AssertionError("a replication started")
+
+        monkeypatch.setattr(simulation, "_run_replication", no_replication)
+        monkeypatch.setenv("LPD_THREADS", "2")
+        out = tmp_path / "r.csv"
+        argv = ["simulate", "--model-id", "1", "--p", "10", "--reps", "2", *options,
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"lpd simulate: error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "cv", "simulate"])
     def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, command):
         """Caught by argparse, before any fold is drawn or worker forked."""
@@ -648,6 +673,25 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err == (
             f"lpd {command}: error: delimiter must be one character, got {delimiter!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "cv", "predict", "screen"])
+    @pytest.mark.parametrize("delimiter", ['"', "\n", "\r"])
+    def test_delimiter_numpy_cannot_split_on_is_usage_error(self, tmp_path, capsys, command,
+                                                            delimiter):
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0))
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--lambda", "0.5", "--out", str(model)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        extra = {"train": [], "cv": [], "predict": ["--model", str(model)],
+                 "screen": ["--top-k", "1"]}[command]
+        argv = [command, "--data", str(data), *extra, "--delimiter", delimiter, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"lpd {command}: error: delimiter cannot be a quote or a line end, got {delimiter!r}\n"
         )
         assert not out.exists()
 

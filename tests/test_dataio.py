@@ -26,6 +26,17 @@ class TestFloatFormat:
             assert float(fmt_float(value)) == float(value)
 
 
+class TestSchema:
+    @pytest.mark.parametrize("delimiter", ['"', "\n", "\r"])
+    def test_delimiter_numpy_cannot_split_on_is_rejected(self, delimiter):
+        with pytest.raises(ValueError, match="delimiter cannot be a quote or a line end"):
+            DataFileSchema(delimiter=delimiter)
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", " ", "|", "'"])
+    def test_other_one_character_delimiters_are_kept(self, delimiter):
+        assert DataFileSchema(delimiter=delimiter).delimiter == delimiter
+
+
 class TestLoadDataset:
     def test_label_mapping_first_seen(self, tmp_path):
         path = tmp_path / "toy.csv"

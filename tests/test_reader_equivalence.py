@@ -58,7 +58,7 @@ def doubles(fmt):
 
 
 # name -> (file text or bytes, schema options, whether the np.loadtxt pass decides it:
-# reads it, or names its first non-finite value without a second parse)
+# reads it whole; a file with a non-finite value goes to the exact reader)
 CASES = {
     "%.17g doubles": (doubles(lambda v: "%.17g" % v), {}, True),
     "repr doubles": (doubles(lambda v: repr(float(v))), {}, True),
@@ -82,9 +82,9 @@ CASES = {
     "blank lines only": ("\n\r\n\n", {}, False),
     "whitespace-only line": ("A,1,2\n  \nB,3,4\n", {}, False),
     "empty cell": ("A,1,2\nB,,4\n", {}, False),
-    "nan": ("A,1,2\nB,nan,4\n", {}, True),
-    "inf": ("A,1,2\nB,3,-inf\n", {}, True),
-    "1e400": ("A,1,2\nB,1e400,4\n", {}, True),
+    "nan": ("A,1,2\nB,nan,4\n", {}, False),
+    "inf": ("A,1,2\nB,3,-inf\n", {}, False),
+    "1e400": ("A,1,2\nB,1e400,4\n", {}, False),
     "1_0": ("A,1_0,2\nB,3,4\n", {}, False),
     "arabic-indic digit": ("A,\u0661,2\nB,3,4\n", {}, False),
     "BOM": ("\ufeff1,2\n3,4\n", {"label_column": 1}, False),
@@ -136,10 +136,9 @@ def test_compressed_extension_is_read_as_text(tmp_path, name):
 @pytest.mark.parametrize("layout", ["plain", "header", "blank lines"])
 @pytest.mark.parametrize("where", [0, 3, 5])
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
-def test_nonfinite_value_named_without_a_second_parse(tmp_path, monkeypatch, labeled, layout,
-                                                      where, value):
-    """The np.loadtxt pass reads the whole file; the first non-finite value is then
-    named exactly as the exact reader names it, and the exact reader never runs."""
+def test_nonfinite_value_named_without_a_second_parse(tmp_path, labeled, layout, where, value):
+    """The np.loadtxt pass hands a file with a non-finite value on to the exact
+    reader, so the first such value is named exactly as that reader alone names it."""
     rows = [["AB"[i % 2]] * labeled + [f"{i}.5", str(-i), "7e-3"] for i in range(6)]
     rows[where][labeled + where % 3] = value
     lines = [",".join(row) for row in rows]
@@ -152,18 +151,13 @@ def test_nonfinite_value_named_without_a_second_parse(tmp_path, monkeypatch, lab
     label_column = schema.label_column if labeled else None
     with pytest.raises(NonFiniteValue) as exact:
         dataio._exact_rows(path, schema, label_column)
-
-    def second_parse(*args):
-        raise AssertionError("the file was parsed twice")
-
-    monkeypatch.setattr(dataio, "_exact_rows", second_parse)
-    with pytest.raises(NonFiniteValue) as one_pass:
+    with pytest.raises(NonFiniteValue) as public:
         if labeled:
             load_dataset(path, schema)
         else:
             load_features(path, schema)
-    assert str(one_pass.value) == str(exact.value)
-    assert f"non-finite value '{value}'" in str(one_pass.value)
+    assert str(public.value) == str(exact.value)
+    assert f"non-finite value '{value}'" in str(public.value)
 
 
 TOKENS = ["nan", "-inf", "1e400", "1_0", "\u0661", "", "x", "\ufeff1", "  ", '"1"', ' "1"',
@@ -233,8 +227,7 @@ def test_arbitrary_text(text, delimiter, label_column, has_header):
 @pytest.mark.parametrize("where", [0, 4, 9])
 def test_nonfinite_row_counted_in_plain_and_quoted_files(tmp_path, newline, quoted, where):
     """With a header and blank lines, the first non-finite value is named as the
-    exact reader names it, whether the records before it are counted as lines (no
-    quote character in the file) or walked by csv."""
+    exact reader names it, in a file with no quote character and in one with one."""
     rows = [["AB"[i % 2], f"{i}.5", str(-i)] for i in range(10)]
     rows[where][1] = "nan"
     if quoted:
@@ -251,7 +244,7 @@ def test_nonfinite_row_counted_in_plain_and_quoted_files(tmp_path, newline, quot
 
 
 def test_field_over_the_csv_limit_before_the_nonfinite_row(tmp_path):
-    """A plain file's lines are only counted, but a field csv would refuse still raises."""
+    """A field csv would refuse, on a line before the non-finite value, raises first."""
     path = write(tmp_path, "A,1,2\nB,3," + " " * 140_000 + "4\nA,nan,5\n")
     assert_same(path, DataFileSchema())
 

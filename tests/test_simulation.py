@@ -13,6 +13,7 @@ from lpd.simulation import (
     GroundTruth,
     SimulationSpec,
     build_model,
+    check_run_options,
     conditional_rate,
     normal_cdf,
     oracle_rate,
@@ -546,3 +547,44 @@ class TestSpecSeed:
             run_benchmark(spec, methods=("naive_bayes",))
         children = np.random.SeedSequence(seed).spawn(3)
         assert states == {rep: kid.generate_state(4).tolist() for rep, kid in enumerate(children)}
+
+
+class TestRunOptions:
+    @pytest.mark.parametrize("n1, n2, folds, message", [
+        (5, 5, 6, "lpd's CV cannot form 6 folds from n1=5 samples"),
+        (20, 4, 5, "lpd's CV cannot form 5 folds from n2=4 samples"),
+        (3, 3, 2, "lpd's CV with 2 folds keeps 1 of n1=3 samples in a training set"),
+        (10, 2, 2, "lpd's CV with 2 folds keeps 1 of n2=2 samples in a training set"),
+    ])
+    def test_folds_no_replication_can_run_rejected_before_any(self, monkeypatch, n1, n2, folds,
+                                                               message):
+        import lpd.simulation as sim
+
+        def no_replication(*args):
+            raise AssertionError("a replication started")
+
+        monkeypatch.setattr(sim, "_run_replication", no_replication)
+        spec = SimulationSpec(model_id=1, p=10, n1=n1, n2=n2, s0=3, reps=2)
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(spec, methods=("lpd", "oracle"), cv_folds=folds, max_workers=2)
+
+    @pytest.mark.parametrize("n1, n2, folds", [(5, 5, 6), (3, 3, 2)])
+    def test_folds_unchecked_without_lpd(self, n1, n2, folds):
+        spec = SimulationSpec(model_id=1, p=10, n1=n1, n2=n2, s0=3, reps=2)
+        report = run_benchmark(spec, methods=("naive_bayes", "oracle"), cv_folds=folds)
+        assert report.reps_completed == 2
+
+    @pytest.mark.parametrize("n1, n2, folds", [(4, 4, 2), (3, 3, 3), (5, 7, 5)])
+    def test_smallest_folds_allowed_run(self, n1, n2, folds):
+        """At the bound, every CV training set keeps 2 rows of each class."""
+        spec = SimulationSpec(model_id=1, p=10, n1=n1, n2=n2, s0=3, reps=2, seed=1)
+        assert check_run_options(spec, ("LPD",), folds, 4) == ("lpd",)
+        report = run_benchmark(spec, methods=("lpd",), cv_folds=folds, grid_size=4)
+        assert report.reps_failed == 0
+
+    def test_no_method_rejected(self):
+        spec = SimulationSpec(model_id=1, p=10, reps=1)
+        with pytest.raises(ValueError, match="no methods given"):
+            check_run_options(spec, (), 5, 20)
+        with pytest.raises(ValueError, match="no methods given"):
+            run_benchmark(spec, methods=())
