@@ -479,9 +479,9 @@ def _loadtxt_scores(path, schema: DataFileSchema, label_column, model, max_worke
     if plan is None:
         return None
     pieces = map_tasks(_score_piece, (plan, model), len(plan.lines), max_workers)
-    if not any(piece.count for piece in pieces):
-        return None
     pieces = [piece for piece in pieces if piece.count]
+    if not pieces:
+        return None
     tails = classifier.decision_scores(model, np.concatenate([piece.held for piece in pieces]))
     parts = []
     for piece in pieces:  # a piece's scores, then those of the rows it held back
