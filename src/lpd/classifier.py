@@ -1,9 +1,10 @@
 """Fitting and applying the LPD rule and its baselines.
 
 All models share one decision contract: classify a point z to class 1 iff
-(z - mu_hat)' beta >= threshold, with the tie going to class 1. The
-baselines (naive Bayes, generalized-inverse LDA, support-restricted naive
-Bayes, and the oracle rule) differ only in how beta is produced.
+(z - mu_hat)' beta >= threshold, with the tie going to class 1. They differ
+in how beta is produced: LPD, naive Bayes, generalized-inverse LDA and
+support-restricted naive Bayes from one training set's TwoSampleMoments
+(sigma_hat built once), the oracle rule from the true parameters.
 """
 
 from __future__ import annotations
@@ -207,9 +208,8 @@ def fit_lpd(data: LabeledDataset, lam: float, ridge_rho: float | None = None) ->
     return fit_lpd_from_moments(compute_moments(data), lam, ridge_rho=ridge_rho)
 
 
-def fit_naive_bayes(data: LabeledDataset) -> LpdModel:
-    """Independence rule: beta = diag(Sigma)^{-1} delta."""
-    moments = compute_moments(data)
+def fit_naive_bayes(moments: TwoSampleMoments) -> LpdModel:
+    """Independence rule at the moments: beta = diag(sigma_hat)^{-1} delta_hat."""
     diag = np.diag(moments.sigma_hat)
     if np.any(diag <= 0):
         bad = int(np.flatnonzero(diag <= 0)[0])
@@ -221,9 +221,8 @@ def fit_naive_bayes(data: LabeledDataset) -> LpdModel:
     )
 
 
-def fit_glda(data: LabeledDataset) -> LpdModel:
-    """LDA with the Moore-Penrose pseudo-inverse of the pooled covariance."""
-    moments = compute_moments(data)
+def fit_glda(moments: TwoSampleMoments) -> LpdModel:
+    """LDA at the moments, with the Moore-Penrose pseudo-inverse of sigma_hat."""
     beta = linalg.pseudo_inverse(moments.sigma_hat) @ moments.delta_hat
     return LpdModel(
         beta=beta,
@@ -232,18 +231,18 @@ def fit_glda(data: LabeledDataset) -> LpdModel:
     )
 
 
-def fit_ofair(data: LabeledDataset, support) -> LpdModel:
-    """Naive Bayes restricted to a known support; beta is zero elsewhere."""
+def fit_ofair(moments: TwoSampleMoments, support) -> LpdModel:
+    """Naive Bayes at the moments, restricted to a known support; beta is zero elsewhere."""
     support = np.asarray(support, dtype=int).reshape(-1)
     if support.size == 0:
         raise EmptySupport("support must contain at least one coordinate")
-    if support.min() < 0 or support.max() >= data.p:
-        raise IndexError(f"support indices must lie in [0, {data.p - 1}]")
+    if support.min() < 0 or support.max() >= moments.p:
+        raise IndexError(f"support indices must lie in [0, {moments.p - 1}]")
     # a mask, not np.unique, drops repeated indices: np.unique's first call imports numpy.ma
-    kept = np.zeros(data.p, dtype=bool)
+    kept = np.zeros(moments.p, dtype=bool)
     kept[support] = True
-    nb = fit_naive_bayes(data)
-    beta = np.zeros(data.p)
+    nb = fit_naive_bayes(moments)
+    beta = np.zeros(moments.p)
     beta[kept] = nb.beta[kept]
     return LpdModel(
         beta=beta,

@@ -11,11 +11,11 @@ names the first fault, so every bad file is named one way. A plain
 file (no quote character) of at least two :data:`PIECE_BYTES` is cut at
 line ends into pieces, parsed on forked worker processes
 (:func:`lpd.parallel.map_tasks`) in line-aligned chunks of about
-:data:`CHUNK_BYTES`. :func:`load_dataset` and :func:`load_features` write
-each chunk's rows into its piece's slot of one shared array, and parse a
-file of one piece whole. :func:`score_rows`, which ``lpd predict`` uses,
-reads any plain file in chunks, scores each chunk's rows and lets them go,
-so no process holds the rows it scores.
+:data:`CHUNK_BYTES`. :func:`load_dataset` writes each chunk's rows into
+its piece's slot of one shared array, and parses a file of one piece
+whole. :func:`score_rows`, which ``lpd predict`` uses, reads any plain file
+in chunks, scores each chunk's rows and lets them go, so no process holds
+the rows it scores.
 """
 
 from __future__ import annotations
@@ -423,21 +423,14 @@ def load_dataset(path, schema: DataFileSchema | None = None, max_workers=1) -> L
     return LabeledDataset(*_read_rows(path, schema, schema.label_column, max_workers))
 
 
-def load_features(path, schema: DataFileSchema | None = None, max_workers=1) -> np.ndarray:
-    """Read a features-only delimited file (no label column) as an (n, p)
-    float64 array, under the same rules, errors and ``max_workers`` as
-    :func:`load_dataset`; ``schema.label_column`` is ignored."""
-    return _read_rows(path, schema or DataFileSchema(), None, max_workers)[0]
-
-
 def score_rows(path, model: LpdModel, schema: DataFileSchema | None = None, label_column=None,
                max_workers=1) -> np.ndarray:
     """:func:`~lpd.classifier.decision_scores` of ``model`` for the rows of a
     delimited file, with no process holding those rows.
 
-    The rows are what :func:`load_features` reads, or with ``label_column`` the
-    features of :func:`load_dataset`, under the same rules, errors and
-    ``max_workers``. Each piece of the file's :func:`_plan` is one
+    The rows are those :func:`_read_rows` reads from a features-only file, or
+    with ``label_column`` the features of :func:`load_dataset`, under the same
+    rules, errors and ``max_workers``. Each piece of the file's :func:`_plan` is one
     :func:`_score_piece` task on :func:`lpd.parallel.map_tasks`, which scores
     its chunks, lets them go and returns their scores. A file np.loadtxt does
     not take, or that holds a non-finite value, is read whole by

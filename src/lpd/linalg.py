@@ -170,19 +170,6 @@ def lu_solve(factor, b):
     return _lapack().dgetrs(*factor, b)[0]
 
 
-def cholesky_solve(a, b):
-    """Solve A x = b for symmetric positive-definite A.
-
-    The residual satisfies ||Ax - b||_inf <= 1e-8 * (1 + ||b||_inf) for
-    well-scaled SPD inputs; non-PD matrices raise NotPositiveDefinite.
-    """
-    m = check_symmetric(a, "A")
-    v = as_vector(b, "b")
-    if m.shape[0] != v.size:
-        raise DimensionMismatch(f"A is {m.shape} but b has length {v.size}")
-    return spd_solve(spd_factor(m), v)
-
-
 def sym_eigen(a):
     """Eigendecomposition of a symmetric matrix.
 

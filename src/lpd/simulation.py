@@ -306,18 +306,6 @@ class EvalReport:
     def error_mean(self) -> dict:
         return {m: self.table["error", m][0] for m in self.methods}
 
-    @property
-    def tpos_mean(self) -> float:
-        return self.table["support", "tpos"][0]
-
-    @property
-    def tpr_mean(self) -> float:
-        return self.table["support", "tpr"][0]
-
-    @property
-    def fpr_mean(self) -> float:
-        return self.table["support", "fpr"][0]
-
 
 def _mean_sd(values) -> tuple:
     """Mean and SD (ddof 1) of the non-NaN values; NaN where undefined."""
@@ -360,9 +348,9 @@ def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size):
     fold_seed = int(rng.integers(0, 2**31 - 1))
 
     record = RepRecord(rep=rep, errors={}, oracle_rate=oracle_rate(truth))
+    moments = compute_moments(train)  # every method but the oracle fits from these
 
     if "lpd" in methods:
-        moments = compute_moments(train)
         grid = default_lambda_grid(moments, grid_size)
         plan = CvPlan(folds=cv_folds, lambda_grid=grid, seed=fold_seed)
         cv = cross_validate(train, plan)
@@ -381,11 +369,11 @@ def _run_replication(spec, methods, seed_seq, rep, cv_folds, grid_size):
         record.conditional_rate = conditional_rate(truth, chosen_model)
 
     if "naive_bayes" in methods:
-        record.errors["naive_bayes"] = _error_percent(fit_naive_bayes(train), test)
+        record.errors["naive_bayes"] = _error_percent(fit_naive_bayes(moments), test)
     if "glda" in methods:
-        record.errors["glda"] = _error_percent(fit_glda(train), test)
+        record.errors["glda"] = _error_percent(fit_glda(moments), test)
     if "ofair" in methods:
-        record.errors["ofair"] = _error_percent(fit_ofair(train, _true_support(truth)), test)
+        record.errors["ofair"] = _error_percent(fit_ofair(moments, _true_support(truth)), test)
     if "oracle" in methods:
         record.errors["oracle"] = _error_percent(
             oracle_fisher(truth.mu1, truth.mu2, truth.omega), test

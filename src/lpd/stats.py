@@ -193,6 +193,8 @@ def variance_filter(data, var_min, var_max, scale=1.0):
     """
     if not var_min < var_max:
         raise ValueError(f"var_min ({var_min}) must be < var_max ({var_max})")
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     if scale <= 0:
         raise ValueError("scale must be positive")
     scaled = scale * pooled_variances(data)

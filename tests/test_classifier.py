@@ -161,8 +161,8 @@ class TestPredict:
         rng = np.random.default_rng(4)
         data = random_binary(rng, 12, 12, 4, shift=1.0)
         swapped = LabeledDataset(data.features, 3 - data.labels)
-        m1 = fit_naive_bayes(data)
-        m2 = fit_naive_bayes(swapped)
+        m1 = fit_naive_bayes(compute_moments(data))
+        m2 = fit_naive_bayes(compute_moments(swapped))
         assert_allclose(m2.beta, -m1.beta, rtol=1e-12)
         points = rng.standard_normal((40, 4))
         s1 = decision_scores(m1, points)
@@ -228,7 +228,7 @@ class TestBaselines:
     def test_naive_bayes_elementwise(self):
         data = random_binary(np.random.default_rng(5), 10, 14, 5)
         moments = compute_moments(data)
-        model = fit_naive_bayes(data)
+        model = fit_naive_bayes(compute_moments(data))
         for j in range(5):
             assert model.beta[j] == pytest.approx(
                 moments.delta_hat[j] / moments.sigma_hat[j, j]
@@ -237,14 +237,14 @@ class TestBaselines:
     def test_naive_bayes_zero_delta(self):
         x = np.random.default_rng(6).standard_normal((5, 3))
         data = LabeledDataset(np.vstack([x, x]), np.array([1] * 5 + [2] * 5))
-        model = fit_naive_bayes(data)
+        model = fit_naive_bayes(compute_moments(data))
         assert_allclose(model.beta, np.zeros(3), atol=1e-15)
 
     def test_naive_bayes_zero_variance(self):
         features = np.column_stack([np.ones(8), np.random.default_rng(7).standard_normal(8)])
         data = LabeledDataset(features, np.array([1] * 4 + [2] * 4))
         with pytest.raises(ZeroVariance):
-            fit_naive_bayes(data)
+            fit_naive_bayes(compute_moments(data))
 
     def test_glda_equals_naive_bayes_on_diagonal_sigma(self):
         # signed-basis design: each class's centered rows are +/- scaled unit
@@ -254,18 +254,19 @@ class TestBaselines:
         data = LabeledDataset(features, np.array([1] * 6 + [2] * 6))
         moments = compute_moments(data)
         assert np.abs(moments.sigma_hat - np.diag(np.diag(moments.sigma_hat))).max() < 1e-12
-        assert_allclose(fit_glda(data).beta, fit_naive_bayes(data).beta, atol=1e-10)
+        assert_allclose(fit_glda(compute_moments(data)).beta,
+                        fit_naive_bayes(compute_moments(data)).beta, atol=1e-10)
 
     def test_glda_invertible_case(self):
         data = random_binary(np.random.default_rng(9), 30, 30, 4)
         moments = compute_moments(data)
         expected = np.linalg.solve(moments.sigma_hat, moments.delta_hat)
-        assert_allclose(fit_glda(data).beta, expected, rtol=1e-8)
+        assert_allclose(fit_glda(compute_moments(data)).beta, expected, rtol=1e-8)
 
     def test_glda_rank_deficient_stays_in_row_space(self):
         data = random_binary(np.random.default_rng(10), 4, 4, 12)  # n < p
         moments = compute_moments(data)
-        beta = fit_glda(data).beta
+        beta = fit_glda(compute_moments(data)).beta
         # projection onto the row space of sigma must leave beta unchanged
         w, v = np.linalg.eigh(moments.sigma_hat)
         keep = np.abs(w) > 1e-10 * np.abs(w).max()
@@ -274,27 +275,28 @@ class TestBaselines:
 
     @pytest.mark.filterwarnings("error")
     def test_glda_fit_emits_no_warning(self):
-        fit_glda(random_binary(np.random.default_rng(10), 4, 4, 12))
+        fit_glda(compute_moments(random_binary(np.random.default_rng(10), 4, 4, 12)))
 
     def test_glda_zero_delta(self):
         x = np.random.default_rng(11).standard_normal((6, 4))
         data = LabeledDataset(np.vstack([x, x]), np.array([1] * 6 + [2] * 6))
-        assert_allclose(fit_glda(data).beta, np.zeros(4), atol=1e-12)
+        assert_allclose(fit_glda(compute_moments(data)).beta, np.zeros(4), atol=1e-12)
 
     def test_ofair_full_support_equals_naive_bayes(self):
         data = random_binary(np.random.default_rng(12), 10, 10, 5)
-        assert_allclose(fit_ofair(data, range(5)).beta, fit_naive_bayes(data).beta)
+        assert_allclose(fit_ofair(compute_moments(data), range(5)).beta,
+                        fit_naive_bayes(compute_moments(data)).beta)
 
     def test_ofair_restricts_coordinates(self):
         data = random_binary(np.random.default_rng(13), 10, 10, 3)
-        nb = fit_naive_bayes(data)
-        model = fit_ofair(data, [0])
+        nb = fit_naive_bayes(compute_moments(data))
+        model = fit_ofair(compute_moments(data), [0])
         assert model.beta[0] == pytest.approx(nb.beta[0])
         assert model.beta[1] == 0.0 and model.beta[2] == 0.0
 
     def test_ofair_empty_support(self):
         with pytest.raises(EmptySupport):
-            fit_ofair(toy_1d(), [])
+            fit_ofair(compute_moments(toy_1d()), [])
 
 
 class TestFitOnGeneratedData:

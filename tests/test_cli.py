@@ -695,6 +695,18 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_screen_scale_is_usage_error(self, tmp_path, capsys, scale):
+        """Rejected as a flag value, not reported as a filter that dropped every feature."""
+        data = tmp_path / "sep.csv"
+        write_separable(data, np.random.default_rng(0))
+        out = tmp_path / "o.csv"
+        argv = ["screen", "--data", str(data), "--var-min", "0", "--var-max", "10",
+                "--scale", scale, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"lpd screen: error: scale must be finite, got {scale}\n"
+        assert not out.exists()
+
     def test_thread_cap_clamped_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         monkeypatch.setenv("LPD_THREADS", "64")

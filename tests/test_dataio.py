@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lpd import dataio
 from lpd.classifier import LpdModel, predict
 from lpd.dataio import (
     DataFileSchema,
     fmt_float,
     load_dataset,
-    load_features,
     load_model,
     save_cv_table,
     save_dataset,
@@ -110,7 +110,7 @@ class TestLoadFeatures:
         labeled.write_text(
             "".join(",".join(row[:2] + ["AB"[i % 2]] + row[2:]) + "\n" for i, row in enumerate(cells))
         )
-        features = load_features(plain)
+        features = dataio._read_rows(plain, DataFileSchema(), None)[0]
         reference = np.asarray([[float(c) for c in row] for row in cells])
         assert features.dtype == np.float64
         assert features.tobytes() == reference.tobytes() == values.tobytes()
@@ -129,7 +129,7 @@ class TestLoadFeatures:
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(error, match=message):
-            load_features(path)
+            dataio._read_rows(path, DataFileSchema(), None)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("blank_lines", [0, 3])
@@ -139,14 +139,15 @@ class TestLoadFeatures:
         text = newline.join(rows) + (newline if final_newline else "")
         path = tmp_path / "f.csv"
         path.write_bytes(text.encode())
-        features = load_features(path, DataFileSchema(has_header=True))
+        features = dataio._read_rows(path, DataFileSchema(has_header=True), None)[0]
         assert features.tolist() == [[1.5, 2.5], [-3.0, 0.04], [5.0, 6.0]]
         assert features.flags.owndata and features.flags.c_contiguous
 
     def test_label_column_ignored(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("h1,h2\n1.5,2.5\n")
-        features = load_features(path, DataFileSchema(label_column=1, has_header=True))
+        schema = DataFileSchema(label_column=1, has_header=True)
+        features = dataio._read_rows(path, schema, None)[0]
         assert features.tolist() == [[1.5, 2.5]]
 
 
@@ -341,7 +342,7 @@ class TestNotUtf8:
         with pytest.raises(ParseError, match=self.MESSAGE):
             load_dataset(path)
         with pytest.raises(ParseError, match=self.MESSAGE):
-            load_features(path, DataFileSchema(has_header=True))
+            dataio._read_rows(path, DataFileSchema(has_header=True), None)
 
     def test_model(self, tmp_path):
         path = tmp_path / "latin1.json"
@@ -385,7 +386,7 @@ class TestFieldSizeLimit:
         path = tmp_path / "long.csv"
         path.write_text(f"label,{self.LONG}\nA,1\n")
         with pytest.raises(ParseError, match=self.MESSAGE):
-            load_features(path, DataFileSchema(has_header=True))
+            dataio._read_rows(path, DataFileSchema(has_header=True), None)
 
     def test_index_map(self, tmp_path):
         from lpd.dataio import load_indices

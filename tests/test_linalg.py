@@ -10,9 +10,8 @@ import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lpd import linalg
-from lpd.errors import DimensionMismatch, NotPositiveDefinite
+from lpd.errors import NotPositiveDefinite
 from lpd.linalg import (
-    cholesky_solve,
     pseudo_inverse,
     spd_factor,
     spd_inverse,
@@ -20,37 +19,7 @@ from lpd.linalg import (
     sym_eigen,
 )
 
-from oracles import determinant, gauss_solve
-
-
-class TestCholeskySolve:
-    def test_identity(self):
-        assert_allclose(cholesky_solve(np.eye(2), [3.0, -1.0]), [3.0, -1.0])
-
-    def test_diagonal(self):
-        assert_allclose(cholesky_solve([[4.0, 0.0], [0.0, 9.0]], [8.0, 27.0]), [2.0, 3.0])
-
-    def test_random_spd_against_elimination_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            m = rng.standard_normal((6, 6))
-            a = m.T @ m + np.eye(6)
-            b = rng.standard_normal(6)
-            x = cholesky_solve(a, b)
-            assert np.abs(a @ x - b).max() <= 1e-8 * (1 + np.abs(b).max())
-            assert_allclose(x, gauss_solve(a, b), rtol=1e-9, atol=1e-11)
-
-    def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            cholesky_solve([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cholesky_solve(np.eye(3), [1.0, 2.0])
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            cholesky_solve([[1.0, 0.5], [0.0, 1.0]], [1.0, 1.0])
+from oracles import determinant
 
 
 class TestCheckSymmetric:

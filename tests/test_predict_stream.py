@@ -2,10 +2,11 @@
 
 `dataio.score_rows` parses each piece of a plain file in line-aligned chunks,
 on forked workers when the file is cut, scores each chunk and lets it go. The
-scores must be those of `decision_scores(model, load_features(path))`, byte
-for byte, at one BLAS thread, so the comparisons run in child processes on
-one BLAS thread (see `TestBlockScoring` in test_classifier.py), where the
-pieces really go to forked workers.
+scores must be those of `decision_scores` on the rows `dataio._read_rows`
+reads from the whole file, byte for byte, at one BLAS thread, so the
+comparisons run in child processes on one BLAS thread (see
+`TestBlockScoring` in test_classifier.py), where the pieces really go to
+forked workers.
 """
 
 import tracemalloc
@@ -33,7 +34,7 @@ import numpy as np
 from lpd import dataio
 from lpd.classifier import LpdModel, decision_scores
 from lpd.cli import main
-from lpd.dataio import DataFileSchema, load_dataset, load_features, save_model, score_rows
+from lpd.dataio import DataFileSchema, load_dataset, save_model, score_rows
 
 workdir = sys.argv[1]
 rng = np.random.default_rng(19)
@@ -61,7 +62,7 @@ for case, ((n, pieces, chunk_lines), (where, header, kept, newline)) in enumerat
                      kept_indices=[0, 2, 4] if kept else None)
     dataio.CHUNK_BYTES = chunk_lines * len(lines[-1])
     dataio.PIECE_BYTES = 1
-    whole = (load_features(path, schema) if label is None
+    whole = (dataio._read_rows(path, schema, None)[0] if label is None
              else load_dataset(path, schema).features)
     expected = decision_scores(model, whole)
     streamed = score_rows(path, model, schema, label, pieces)
@@ -250,6 +251,6 @@ def test_records_ending_at_a_lone_carriage_return(tmp_path, model_path, newline)
     plan = dataio._plan(data, DataFileSchema(), None, 4)
     assert plan.width is None and len(plan.lines) == 1
     model = dataio.load_model(model_path)
-    expected = decision_scores(model, dataio.load_features(data))
+    expected = decision_scores(model, dataio._read_rows(data, DataFileSchema(), None)[0])
     scores = dataio.score_rows(data, model, max_workers=4)
     assert scores.tobytes() == expected.tobytes()

@@ -169,6 +169,12 @@ class TestVarianceFilter:
         with pytest.raises(AllFeaturesDropped):
             variance_filter(data, 1e6, 1e7)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        data = random_dataset(np.random.default_rng(8), 5, 5, 3)
+        with pytest.raises(ValueError, match=f"scale must be finite, got {scale}"):
+            variance_filter(data, 0.0, 10.0, scale=scale)
+
     def test_deterministic_idempotent(self):
         data = random_dataset(np.random.default_rng(9), 8, 8, 10)
         first, kept1 = variance_filter(data, 0.5, 2.0)
