@@ -11,11 +11,13 @@ names the first fault, so every bad file is named one way. A plain
 file (no quote character) of at least two :data:`PIECE_BYTES` is cut at
 line ends into pieces, parsed on forked worker processes
 (:func:`lpd.parallel.map_tasks`) in line-aligned chunks of about
-:data:`CHUNK_BYTES`. :func:`load_dataset` writes each chunk's rows into
-its piece's slot of one shared array, and parses a file of one piece
-whole. :func:`score_rows`, which ``lpd predict`` uses, reads any plain file
-in chunks, scores each chunk's rows and lets them go, so no process holds
-the rows it scores.
+:data:`CHUNK_BYTES`. The calling process finds the cuts in one scan of the
+file, a block of at most 64 KB at a time. :func:`load_dataset` writes each
+chunk's rows into its piece's slot of one shared array, and parses a file
+of one piece whole. :func:`score_rows`, which ``lpd predict`` uses, reads
+any plain file in chunks, scores each chunk's rows and lets them go, so no
+process holds the rows it scores. A CSV file is written a block of about
+:data:`_WRITE_CELLS` cells at a time.
 """
 
 from __future__ import annotations
@@ -51,10 +53,13 @@ PIECE_BYTES = 4 << 20
 # A piece is parsed in line-aligned chunks of about this size, so that a
 # worker holds a chunk's text and rows, not its piece's.
 CHUNK_BYTES = 1 << 20
+# :func:`_plan` scans a file in blocks of at most this size (or CHUNK_BYTES, if
+# smaller): it keeps only a count and a few flags from each block.
+_SCAN_BYTES = 1 << 16
 REPORT_HEADER = ("section", "name", "mean", "sd")
 _LONE_CR = re.compile(rb"\r(?!\n)")
-# Cells of a CSV file formatted at a time: about 1 MB of Python strings.
-_WRITE_CELLS = 1 << 14
+# Cells of a CSV file formatted at a time: about 300 kB of Python strings.
+_WRITE_CELLS = 1 << 12
 
 
 @dataclass
@@ -184,8 +189,8 @@ def _plan(path, schema: DataFileSchema, label_column, max_workers=1):
         targets = [size * k // pieces for k in range(1, pieces)]
         # the pieces' first bytes, and the newlines before each
         cuts, newlines, seen, offset, chunk = [0], [0], 0, 0, b""
-        for chunk in iter(lambda: raw.read(CHUNK_BYTES), b""):
-            if chunk.endswith(b"\r"):  # a CRLF pair stays in one chunk
+        for chunk in iter(lambda: raw.read(min(CHUNK_BYTES, _SCAN_BYTES)), b""):
+            if chunk.endswith(b"\r"):  # a CRLF pair stays in one block
                 chunk += raw.read(1)
             # numpy strips these around a number; float() does not
             stripped = stripped or any(c in chunk for c in b"\x1c\x1d\x1e\x1f")
@@ -197,8 +202,7 @@ def _plan(path, schema: DataFileSchema, label_column, max_workers=1):
                 newlines.append(seen + chunk.count(b"\n", 0, at + 1))
                 targets = [t for t in targets if t >= cuts[-1]]
             seen, offset = seen + chunk.count(b"\n"), offset + len(chunk)
-        # A chunk left alive through the parse would keep about 2 MB of heap resident.
-        last, chunk = chunk[-1:], None
+        last = chunk[-1:]
         if stripped:
             return None
         width = None

@@ -231,6 +231,23 @@ def test_traced_peak_grows_by_the_scores_at_most(tmp_path, monkeypatch, pieces):
     assert large - small <= 17 * 12000
 
 
+def test_predictions_written_a_block_at_a_time(tmp_path):
+    """16000 rows of predictions are formatted and written a block of rows at a time."""
+    rng = np.random.default_rng(3)
+    classes, scores = rng.integers(1, 3, 16000), rng.standard_normal(16000)
+    out = tmp_path / "preds.csv"
+    tracemalloc.start()
+    try:
+        dataio.save_predictions(out, classes, scores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = out.read_text().splitlines()
+    assert len(lines) == 16001
+    assert lines[-1] == f"15999,{classes[-1]},{dataio.fmt_float(scores[-1])}"
+    assert peak < 512 << 10
+
+
 def test_one_chunk_is_scored_by_one_product(tmp_path, model_path, monkeypatch):
     """The only piece holds its last chunk back, so a small file is one call."""
     calls = []

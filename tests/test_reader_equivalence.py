@@ -333,7 +333,7 @@ def test_split_read_keeps_quoted_files_and_single_lines_whole(tmp_path, monkeypa
 
 
 def test_split_read_across_the_scan_chunks(tmp_path, monkeypatch):
-    """Cut targets in several 1 MB scan chunks, in lines that straddle a chunk end."""
+    """Cut targets in several scan blocks, in lines that straddle a block end."""
     rng = np.random.default_rng(5)
     lines = [",".join(["AB"[i % 2]] + [repr(float(v)) for v in rng.standard_normal(4000)])
              for i in range(20)]
@@ -343,6 +343,40 @@ def test_split_read_across_the_scan_chunks(tmp_path, monkeypatch):
     assert_same(path, DataFileSchema(), max_workers=9)
     assert counts and all(count == 9 for count in counts)
     assert dataio._loadtxt_rows(path, DataFileSchema(), 0, 9) is not None
+
+
+@pytest.mark.parametrize("scan_bytes", [1, 2, 5, 7, 64])
+def test_split_read_across_small_scan_blocks(tmp_path, monkeypatch, scan_bytes):
+    """The plan does not depend on the scan block. CRLF pairs straddle block
+    ends (at a 1-byte block, every pair does), and each cut target lies blocks
+    past the one where the search for it starts, in a line that may itself
+    span blocks."""
+    path = write(tmp_path, split_rows(24, 1, "\r\n", blank=True))
+    counts = cut_into_pieces(monkeypatch, 40)
+    schema = DataFileSchema(label_column=1)
+    whole = dataio._plan(path, schema, 1, 4)
+    monkeypatch.setattr(dataio, "_SCAN_BYTES", scan_bytes)
+    plan = dataio._plan(path, schema, 1, 4)
+    assert plan == whole
+    assert plan.width == 3 and len(plan.lines) == 4 and sum(plan.lines) == 48
+    data = path.read_bytes()
+    assert all(data[cut - 1:cut] == b"\n" for cut in plan.cuts[1:-1])
+    assert_same(path, schema, max_workers=4)
+    assert counts and all(count == 4 for count in counts)
+
+
+def test_plan_scans_a_large_file_in_small_blocks(tmp_path):
+    """The scan of an 8 MB plain file holds a block or two of it at a time."""
+    path = write(tmp_path, "0.25,-3,1.5e-7\n" * ((8 << 20) // 15 + 1))
+    tracemalloc.start()
+    try:
+        plan = dataio._plan(path, DataFileSchema(), None, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.width == 3 and len(plan.lines) == 2
+    assert sum(plan.lines) == (8 << 20) // 15 + 1
+    assert peak < 512 << 10
 
 
 @pytest.mark.parametrize("label_column", [0, 1, 2, None])
